@@ -20,12 +20,12 @@ import numpy as np
 
 from . import ranking
 from .datasets import DataError, load_dataset
-from .index import NumericError, ParameterError, index_from_spec
+from .index import (NumericError, ParameterError, ResourceError,
+                    index_from_spec)
 from .inference import (empirical_bayes_curve, fit_exponential, fit_mle,
                         fit_moment, kaplan_meier, profile_interval,
                         risk_trajectory)
 from .process import simulate, trajectory_to_csv
-from .random_measure import ResourceError
 
 EXIT_OK = 0
 EXIT_USAGE = 2

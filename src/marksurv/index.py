@@ -9,6 +9,12 @@ evaluation (closed forms where available, scaled adaptive quadrature
 otherwise), splitting-rule tables with normalization/consistency
 diagnostics, and the conversions between the dislocation-measure and
 Levy-measure representations of the same process.
+
+Full tables and the block-count dynamic program need every rate in the
+triangle r + d <= n.  They evaluate only the outer diagonal r + d = n and
+fill the rest inward by the additive identity
+lambda(r, d) = lambda(r, d + 1) + lambda(r + 1, d), a sum of non-negative
+terms with no cancellation; separable closed forms give each row directly.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from scipy import integrate, special
 __all__ = [
     "ParameterError",
     "NumericError",
+    "ResourceError",
+    "MAX_TABLE_ROWS",
     "CharacteristicIndex",
     "HarmonicIndex",
     "GammaIndex",
@@ -52,6 +60,16 @@ class ParameterError(ValueError):
 
 class NumericError(ArithmeticError):
     """A rate evaluation failed to converge or produced a non-finite value."""
+
+
+class ResourceError(RuntimeError):
+    """The request exceeds a memory or work budget."""
+
+
+# Largest n for which all rows of the rate triangle are kept at once
+# (splitting tables and the ranking sampler).  A table of n rows holds
+# (n + 1)**2 floats: 134 MB at 4096.
+MAX_TABLE_ROWS = 4096
 
 
 # Differences of order above this are evaluated through the integral
@@ -127,6 +145,60 @@ def _log_quad(log_f: Callable[[float], float], lo: float, hi: float,
     return peak + math.log(value)
 
 
+# Harmonic rates at rho at or above this go through Stirling's series.
+_STIRLING_MIN = 100.0
+
+
+def _log_rising(x: float, k):
+    """log Gamma(x + k) - log Gamma(x) for x >= _STIRLING_MIN and k >= 0.
+
+    Both log-gammas are near x log x - x, so subtracting them loses about
+    eps * x log x; Stirling's series gives the difference term by term,
+    with truncation error below 1 / (1680 x**7).
+    """
+    def series(t):
+        t2 = t * t
+        return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * t2)) / t2) / t
+
+    y = x + k
+    return ((x - 0.5) * np.log1p(k / x) + k * np.log(y) - k
+            + series(y) - series(x))
+
+
+def _digamma_difference(rho: float, n: int) -> float:
+    """digamma(n + rho) - digamma(rho), the harmonic index at unit scale."""
+    hi = float(special.digamma(n + rho))
+    lo = float(special.digamma(rho))
+    if (abs(hi) + abs(lo)) * _EPS > _CANCEL_TOL * (hi - lo):
+        # At large rho the two digammas cancel; the difference telescopes
+        # into the positive singleton rates 1 / (rho + k), k < n.
+        return float((1.0 / (rho + np.arange(n))).sum())
+    return hi - lo
+
+
+def _separable_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Yield the log rates a[d] + b[r] + c[r + d] of a separable closed form
+    as rows m = r + d, from m = len(a) - 1 down to 1."""
+    for m in range(len(a) - 1, 0, -1):
+        yield a[1:m + 1] + b[m - 1::-1] + c[m]
+
+
+def _first_block_log_rows(rule, n: int):
+    """Yield log C(m, d) q(m - d, d), d = 1..m, for m = n down to 1, from the
+    rows of log splitting probabilities that ``rule`` (an index or a
+    SplittingTable) gives."""
+    lf = special.gammaln(np.arange(1.0, n + 2.0))  # lf[k] = log k!
+    for logq in rule._log_split_rows(n):
+        m = len(logq)
+        yield lf[m] - lf[1:m + 1] - lf[m - 1::-1] + logq
+
+
+def _check_table_rows(n: int) -> None:
+    if n > MAX_TABLE_ROWS:
+        raise ResourceError(
+            f"{n} rows exceed the {MAX_TABLE_ROWS} that may be kept at once")
+
+
 class CharacteristicIndex:
     """Rate sequence defining a consistent exchangeable survival process.
 
@@ -171,29 +243,31 @@ class CharacteristicIndex:
         q = self.unit_block_rate(r, d) / self.unit_total_rate(r + d)
         return min(max(q, 0.0), 1.0)
 
-    def _dp_tables(self, n: int):
-        """Optional (A, B, C) lookup arrays with log block rate = A[d] + B[r] + C[r+d].
+    def _log_rate_rows(self, n: int):
+        """Yield log unit_block_rate(m - d, d), d = 1..m, for m = n down to 1.
 
-        Families without a separable closed form return None and fall back to
-        elementwise evaluation.
+        Only diagonal n is evaluated entry by entry; every inner row follows
+        from the one outside it by the additive identity, one vector step per
+        row.  Separable families override this with their closed form.
         """
-        return None
+        row = np.array([self.log_unit_block_rate(n - d, d)
+                        for d in range(1, n + 1)])
+        while True:
+            yield row
+            if len(row) == 1:
+                return
+            row = np.logaddexp(row[1:], row[:-1])
+
+    def _log_split_rows(self, n: int):
+        """Yield log split_prob(m - d, d), d = 1..m, for m = n down to 1."""
+        for row in self._log_rate_rows(n):
+            yield row - math.log(self.unit_total_rate(len(row)))
 
     def first_block_log_weights(self, m: int) -> np.ndarray:
         """log of C(m, d) * split_prob(m - d, d) for d = 1..m."""
         if m < 1:
             raise ParameterError("need at least one individual at risk")
-        d = np.arange(1, m + 1)
-        logc = (special.gammaln(m + 1) - special.gammaln(d + 1)
-                - special.gammaln(m - d + 1))
-        tabs = self._dp_tables(m)
-        if tabs is not None:
-            a, b, c = tabs
-            lograte = a[1:m + 1] + b[m - 1::-1] + c[m]
-        else:
-            lograte = np.array(
-                [self.log_unit_block_rate(m - di, di) for di in range(1, m + 1)])
-        return logc + lograte - math.log(self.unit_total_rate(m))
+        return next(_first_block_log_rows(self, m))
 
     def describe(self) -> str:
         """Family name plus named parameters, as a small text record."""
@@ -229,20 +303,30 @@ class HarmonicIndex(CharacteristicIndex):
         return self.nu
 
     def unit_total_rate(self, n: int) -> float:
-        return float(special.digamma(n + self.rho) - special.digamma(self.rho))
+        return _digamma_difference(self.rho, n)
 
     def log_unit_block_rate(self, r: int, d: int) -> float:
         _check_rd(r, d)
         a = self.rho + r
-        return math.lgamma(d) + math.lgamma(a) - math.lgamma(a + d)
+        if self.rho < _STIRLING_MIN:
+            return math.lgamma(d) + math.lgamma(a) - math.lgamma(a + d)
+        return math.lgamma(d) - float(_log_rising(a, d))
 
     def unit_block_rate(self, r: int, d: int) -> float:
         return math.exp(self.log_unit_block_rate(r, d))
 
-    def _dp_tables(self, n: int):
+    def _log_rate_rows(self, n: int):
         i = np.arange(n + 1, dtype=float)
-        g = special.gammaln(self.rho + i)
-        return special.gammaln(np.maximum(i, 1.0)), g, -g
+        # Only differences g[r] - g[r + d] enter the rates.
+        if self.rho < _STIRLING_MIN:
+            g = special.gammaln(self.rho + i)
+        else:
+            g = _log_rising(self.rho, i)
+        return _separable_rows(special.gammaln(np.maximum(i, 1.0)), g, -g)
+
+
+# Scaling probes for the gamma integrand in its rescaled variable.
+_GAMMA_PROBES = tuple(np.geomspace(1e-8, 200.0, 40).tolist()) + (1.0,)
 
 
 @dataclass(frozen=True, repr=False)
@@ -283,12 +367,16 @@ class GammaIndex(CharacteristicIndex):
 
     def _log_rate_quad(self, r: int, d: int) -> float:
         a = self.rho + r
+        # Integrate in v = z / log(1 + d / a), where the integrand peaks near
+        # v = 1 for every rho, r and d.  In z the peak sits near (d - 1) / a
+        # and narrows with it, and at large rho the quadrature misses it.
+        scale = math.log1p(d / a)
+        rate = a * scale
 
-        def log_f(z: float) -> float:
-            return -a * z + d * _log1mexp(z) - math.log(z)
+        def log_f(v: float) -> float:
+            return -rate * v + d * _log1mexp(scale * v) - math.log(v)
 
-        probes = np.geomspace(1e-8, 200.0, 40)
-        return _log_quad(log_f, 0.0, np.inf, probes)
+        return _log_quad(log_f, 0.0, np.inf, _GAMMA_PROBES)
 
 
 @dataclass(frozen=True, repr=False)
@@ -361,10 +449,10 @@ class GeometricIndex(CharacteristicIndex):
     def unit_block_rate(self, r: int, d: int) -> float:
         return math.exp(self.log_unit_block_rate(r, d))
 
-    def _dp_tables(self, n: int):
+    def _log_rate_rows(self, n: int):
         i = np.arange(n + 1, dtype=float)
-        return (i * math.log1p(-self.alpha), i * math.log(self.alpha),
-                np.zeros(n + 1))
+        return _separable_rows(i * math.log1p(-self.alpha),
+                               i * math.log(self.alpha), np.zeros(n + 1))
 
 
 @dataclass(frozen=True, repr=False)
@@ -378,11 +466,10 @@ class LinearIndex(CharacteristicIndex):
         _check_rd(r, d)
         return 1.0 if d == 1 else 0.0
 
-    def _dp_tables(self, n: int):
+    def _log_rate_rows(self, n: int):
         a = np.full(n + 1, -np.inf)
-        if n >= 1:
-            a[1] = 0.0
-        return a, np.zeros(n + 1), np.zeros(n + 1)
+        a[1] = 0.0
+        return _separable_rows(a, np.zeros(n + 1), np.zeros(n + 1))
 
 
 @dataclass(frozen=True, repr=False)
@@ -405,17 +492,6 @@ class LinearShiftIndex(CharacteristicIndex):
             return 1.0 + self.rho if r == 0 else 1.0
         return self.rho if r == 0 else 0.0
 
-    def first_block_log_weights(self, m: int) -> np.ndarray:
-        if m < 1:
-            raise ParameterError("need at least one individual at risk")
-        w = np.zeros(m)
-        z = self.unit_total_rate(m)
-        w[0] = m * self.unit_block_rate(m - 1, 1) / z
-        if m >= 2:
-            w[m - 1] = self.unit_block_rate(0, m) / z
-        with np.errstate(divide="ignore"):
-            return np.log(w)
-
 
 @dataclass(frozen=True, repr=False)
 class BetaSplitIndex(CharacteristicIndex):
@@ -437,11 +513,15 @@ class BetaSplitIndex(CharacteristicIndex):
     def unit_total_rate(self, n: int) -> float:
         b = self.beta
         if b == 0.0:
-            return float(special.digamma(n + self.rho)
-                         - special.digamma(self.rho))
+            return _digamma_difference(self.rho, n)
         head = math.exp(math.lgamma(self.rho) - math.lgamma(self.rho + b))
         tail = math.exp(math.lgamma(n + self.rho)
                         - math.lgamma(n + self.rho + b))
+        if (head + tail) * _EPS > _CANCEL_TOL * abs(head - tail):
+            # At small beta or large rho head and tail cancel; the index
+            # telescopes into the positive singleton rates lambda(k, 1), k < n.
+            k = np.arange(n, dtype=float)
+            return float(np.exp(special.betaln(self.rho + k, b + 1.0)).sum())
         return math.exp(math.lgamma(b + 1.0)) / b * (head - tail)
 
     def log_unit_block_rate(self, r: int, d: int) -> float:
@@ -451,11 +531,12 @@ class BetaSplitIndex(CharacteristicIndex):
     def unit_block_rate(self, r: int, d: int) -> float:
         return math.exp(self.log_unit_block_rate(r, d))
 
-    def _dp_tables(self, n: int):
+    def _log_rate_rows(self, n: int):
         i = np.arange(n + 1, dtype=float)
-        return (special.gammaln(np.maximum(self.beta + i, _EPS)),
-                special.gammaln(self.rho + i),
-                -special.gammaln(self.rho + self.beta + i))
+        return _separable_rows(
+            special.gammaln(np.maximum(self.beta + i, _EPS)),
+            special.gammaln(self.rho + i),
+            -special.gammaln(self.rho + self.beta + i))
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +769,18 @@ class SplittingTable:
                 f"table covers r + d <= {self.max_n}, got r={r}, d={d}")
         return float(self.probs[r, d])
 
+    split_prob = prob
+
+    def _log_split_rows(self, n: int):
+        """Yield log q(m - d, d), d = 1..m, for m = n down to 1."""
+        if n > self.max_n:
+            raise ParameterError(f"table covers n <= {self.max_n}, got {n}")
+        with np.errstate(divide="ignore"):
+            logq = np.log(self.probs)
+        d = np.arange(1, n + 1)
+        for m in range(n, 0, -1):
+            yield logq[m - d[:m], d[:m]]
+
     def first_block_weights(self, m: int) -> np.ndarray:
         """C(m, d) * q(m - d, d) for d = 1..m."""
         if not (1 <= m <= self.max_n):
@@ -699,18 +792,22 @@ class SplittingTable:
 
 def build_table(index: CharacteristicIndex, max_n: int,
                 tol: float = 1e-8) -> SplittingTable:
-    """Tabulate q(r, d) for r + d <= max_n, validating row normalization."""
+    """Tabulate q(r, d) for r + d <= max_n, validating row normalization
+    against the index's own total rates."""
     if max_n < 1:
         raise ParameterError(f"max_n must be >= 1, got {max_n}")
+    _check_table_rows(max_n)
     q = np.full((max_n + 1, max_n + 1), np.nan)
-    for n in range(1, max_n + 1):
-        for d in range(1, n + 1):
-            r = n - d
-            v = index.split_prob(r, d)
-            if not math.isfinite(v):
-                raise NumericError(
-                    f"splitting probability q({r},{d}) is not finite")
-            q[r, d] = v
+    d = np.arange(1, max_n + 1)
+    for logq in index._log_split_rows(max_n):
+        m = len(logq)
+        row = np.minimum(np.exp(logq), 1.0)
+        bad = np.flatnonzero(~np.isfinite(row))
+        if bad.size:
+            di = int(bad[0]) + 1
+            raise NumericError(
+                f"splitting probability q({m - di},{di}) is not finite")
+        q[m - d[:m], d[:m]] = row
     table = SplittingTable(max_n=max_n, probs=q)
     defect = normalization_defect(table)
     if defect > tol:

@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import special
 
-from .index import CharacteristicIndex, GammaIndex, ParameterError
+from .index import (CharacteristicIndex, GammaIndex, ParameterError,
+                    ResourceError)
 from . import process
 
 __all__ = [
@@ -34,10 +35,6 @@ __all__ = [
 ]
 
 _MAX_ATOMS = 100_000_000
-
-
-class ResourceError(RuntimeError):
-    """The requested truncation would generate an unreasonable atom count."""
 
 
 @dataclass(frozen=True, eq=False)

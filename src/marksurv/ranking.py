@@ -16,9 +16,9 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
-from scipy import special
 
-from .index import (CharacteristicIndex, ParameterError, SplittingTable)
+from .index import (CharacteristicIndex, ParameterError, SplittingTable,
+                    _check_table_rows, _first_block_log_rows)
 
 __all__ = [
     "OrderedPartition",
@@ -128,18 +128,6 @@ def enumerate_ordered_partitions(items: Iterable) -> Iterator[OrderedPartition]:
         yield OrderedPartition(blocks)
 
 
-def _split_prob(rule: Rule, r: int, d: int) -> float:
-    if isinstance(rule, SplittingTable):
-        return rule.prob(r, d)
-    return rule.split_prob(r, d)
-
-
-def _first_block_weights(rule: Rule, m: int) -> np.ndarray:
-    if isinstance(rule, SplittingTable):
-        return rule.first_block_weights(m)
-    return np.exp(rule.first_block_log_weights(m))
-
-
 def ranking_prob(partition: OrderedPartition, rule: Rule) -> float:
     """Probability of the ordered partition under the splitting rule.
 
@@ -148,7 +136,7 @@ def ranking_prob(partition: OrderedPartition, rule: Rule) -> float:
     remaining = partition.n
     prob = 1.0
     for size in partition.sizes:
-        prob *= _split_prob(rule, remaining - size, size)
+        prob *= rule.split_prob(remaining - size, size)
         remaining -= size
     return prob
 
@@ -158,7 +146,7 @@ def first_block_distribution(n: int, rule: Rule) -> np.ndarray:
     if n < 1:
         raise ParameterError("n must be >= 1")
     out = np.zeros(n + 1)
-    out[1:] = _first_block_weights(rule, n)
+    out[1:] = np.exp(next(_first_block_log_rows(rule, n)))
     return out
 
 
@@ -176,7 +164,8 @@ def sample_rankings(n: int, rule: Rule, rng, reps: int) -> list:
     """Draw ``reps`` ordered partitions of range(n) sequentially."""
     if n < 1:
         raise ParameterError("n must be >= 1")
-    rows = {m: _first_block_weights(rule, m) for m in range(1, n + 1)}
+    _check_table_rows(n)
+    rows = {len(w): np.exp(w) for w in _first_block_log_rows(rule, n)}
     out = []
     for _ in range(reps):
         remaining = list(range(n))
@@ -234,37 +223,21 @@ def sample_block_sizes(n: int, index: CharacteristicIndex, rng) -> list:
 
 
 def expected_blocks(n: int, rule: Rule) -> float:
-    """Mean number of blocks, by exact dynamic programming on the
-    one-step recurrence."""
+    """Mean number of blocks, by exact dynamic programming.
+
+    Each block leaves one risk-set size m on the way down from n, so the
+    mean is the sum over m = 1..n of the chance that the chain visits m.
+    Those chances follow from the first-block laws taken top-down, in the
+    order the row source gives them, so no row is kept once used.
+    """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    mu = np.zeros(n + 1)
-    if isinstance(rule, SplittingTable):
-        if n > rule.max_n:
-            raise ParameterError(f"table covers n <= {rule.max_n}")
-        for m in range(1, n + 1):
-            w = rule.first_block_weights(m)
-            mu[m] = 1.0 + float(w @ mu[m - 1::-1])
-        return float(mu[n])
-
-    tabs = rule._dp_tables(n)
-    if tabs is None:
-        for m in range(1, n + 1):
-            w = np.exp(rule.first_block_log_weights(m))
-            mu[m] = 1.0 + float(w @ mu[m - 1::-1])
-        return float(mu[n])
-
-    a, b, c = tabs
-    lg = special.gammaln(np.arange(n + 2, dtype=float))
-    logz = np.array([math.log(rule.unit_total_rate(m))
-                     for m in range(1, n + 1)])
-    for m in range(1, n + 1):
-        d = np.arange(1, m + 1)
-        logw = (lg[m + 1] - lg[d + 1] - lg[m + 1 - d]
-                + a[1:m + 1] + b[m - 1::-1] + c[m] - logz[m - 1])
-        np.clip(logw, -745.0, None, out=logw)
-        mu[m] = 1.0 + float(np.exp(logw) @ mu[m - 1::-1])
-    return float(mu[n])
+    visit = np.zeros(n + 1)
+    visit[n] = 1.0
+    for logw in _first_block_log_rows(rule, n):
+        m = len(logw)
+        visit[m - 1::-1] += visit[m] * np.exp(logw)
+    return float(visit[1:].sum())
 
 
 @dataclass(frozen=True)

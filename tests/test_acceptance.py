@@ -185,10 +185,12 @@ def test_criterion_5_block_growth_dp_vs_mc():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="spec tolerance defect: the exact mean block count at n=4096 sits "
-           "35.16% above the trigamma limit constant, a hair over the stated "
-           "35% band; the value is validated by enumeration and Monte Carlo "
-           "(see notes/decisions.md)")
+    reason="spec tolerance defect: mu_n / log(n)**2 approaches the trigamma "
+           "limit constant only like 1 + 2.9 / log(n) (55.6% above it at "
+           "n=256, 43.1% at 1024, 29.7% at 16384), so at n=4096 it sits "
+           "35.17% above (measured 35.173%), just outside the stated 35% "
+           "band; the exact mean itself is validated by enumeration and "
+           "Monte Carlo")
 def test_criterion_5_log_squared_growth_constant():
     budget = 600.0
     t0 = time.perf_counter()

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import marksurv
 
 from marksurv.cli import main
 from marksurv.datasets import GEHAN_6MP, load_dataset, parse_dataset_text
@@ -147,3 +152,14 @@ def test_csv_format_loader(tmp_path):
     d = load_dataset(str(path))
     assert d.times == (1.5, 2.5)
     assert d.failed == (True, False)
+
+
+def test_import_leaves_out_scipy_stats():
+    # scipy.stats alone about doubles the import time of every CLI command.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(marksurv.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, marksurv.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 from scipy import special
 
-from marksurv.index import (BetaSplitIndex, DislocationMeasure, GammaIndex,
-                            GeometricIndex, HarmonicIndex, LevyMeasure,
-                            LinearIndex, LinearShiftIndex, MeasureIndex,
-                            NumericError, ParameterError, PowerIndex,
+from marksurv import index as index_mod
+from marksurv.index import (MAX_TABLE_ROWS, BetaSplitIndex,
+                            DislocationMeasure, GammaIndex, GeometricIndex,
+                            HarmonicIndex, LevyMeasure, LinearIndex,
+                            LinearShiftIndex, MeasureIndex, NumericError,
+                            ParameterError, PowerIndex, ResourceError,
                             build_table, consistency_defect,
                             dislocation_from_levy, index_from_spec,
                             levy_from_dislocation, normalization_defect,
                             weak_continuity_defect)
+from marksurv.ranking import expected_blocks, sample_rankings
 
 mp.mp.dps = 50
 
@@ -244,12 +247,137 @@ def test_consistency_detects_perturbation():
 
 
 def test_build_table_rejects_non_finite():
-    class Broken(HarmonicIndex):
-        def split_prob(self, r, d):
-            return math.nan if (r, d) == (1, 2) else super().split_prob(r, d)
+    # The table reads diagonal r + d = 4 rate by rate and fills the rest.
+    class Broken(GammaIndex):
+        def log_unit_block_rate(self, r, d):
+            if (r, d) == (1, 3):
+                return math.nan
+            return super().log_unit_block_rate(r, d)
 
-    with pytest.raises(NumericError, match=r"q\(1,2\)"):
+    with pytest.raises(NumericError, match=r"q\(1,3\)"):
         build_table(Broken(1.0, 1.0), 4)
+
+
+@pytest.mark.parametrize("index", [
+    HarmonicIndex(1.0, 1e8),
+    BetaSplitIndex(1.0, 1e-12),
+], ids=lambda ix: ix.describe())
+def test_build_table_closed_forms_at_extreme_parameters(index):
+    # The closed-form totals cancel here, and so do the harmonic family's
+    # log-gamma differences; the singleton sum and Stirling's series keep
+    # every row normalized.
+    tab = build_table(index, 5)
+    assert normalization_defect(tab) < 1e-12
+
+
+def test_total_rate_without_cancellation():
+    rho = mp.mpf(1e8)
+    exact = mp.digamma(5 + rho) - mp.digamma(rho)
+    assert HarmonicIndex(1.0, 1e8).unit_total_rate(5) == pytest.approx(
+        float(exact), rel=1e-14)
+    for r, d in [(0, 1), (2, 3), (40, 7)]:
+        exact = mp.log(mp.beta(d, rho + r))
+        assert HarmonicIndex(1.0, 1e8).log_unit_block_rate(r, d) \
+            == pytest.approx(float(exact), abs=1e-13)
+    beta = mp.mpf(1e-12)
+    exact = mp.fsum(mp.beta(1 + k, beta + 1) for k in range(5))
+    assert BetaSplitIndex(1.0, 1e-12).unit_total_rate(5) == pytest.approx(
+        float(exact), rel=1e-14)
+
+
+@pytest.mark.parametrize("rho", [1e5, 1e6])
+def test_gamma_quadrature_at_large_rho(rho):
+    # The integrand peaks near z = (d - 1) / (rho + r); before the
+    # quadrature was rescaled it missed that peak.
+    ix = GammaIndex(1.0, rho)
+    tab = build_table(ix, 10)
+    assert normalization_defect(tab) < 1e-12
+    seq = mp_sequence(ix)
+    for r, d in [(0, 10), (1, 9), (5, 5)]:
+        with mp.workdps(120):
+            exact = mp_rate(seq, r, d)
+        assert ix.unit_block_rate(r, d) == pytest.approx(exact, rel=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# rows of the rate triangle
+
+
+def gamma_measure_index(nu=1.0, rho=1.0):
+    """MeasureIndex built from the gamma Levy measure nu exp(-rho z) / z."""
+    levy = LevyMeasure(density=lambda z: nu * math.exp(-rho * z) / z)
+    dislocation, erosion = dislocation_from_levy(levy)
+    return MeasureIndex(dislocation=dislocation, erosion=erosion)
+
+
+FILLED = [GammaIndex(1.0, 1.0), GammaIndex(2.0, 7.5), PowerIndex(0.5),
+          PowerIndex(0.9), LinearShiftIndex(1.5)]
+
+
+@pytest.mark.parametrize("index", FILLED + [gamma_measure_index()],
+                         ids=lambda ix: type(ix).__name__)
+def test_filled_rows_match_entrywise_rates(index):
+    n = 30
+    rows = list(index._log_rate_rows(n))
+    assert [len(row) for row in rows] == list(range(n, 0, -1))
+    for row in rows:
+        m = len(row)
+        direct = np.array([index.log_unit_block_rate(m - d, d)
+                           for d in range(1, m + 1)])
+        zero = np.isneginf(direct)
+        assert np.array_equal(np.isneginf(row), zero)
+        # An accepted alternating sum may lose up to _CANCEL_TOL relative.
+        assert np.max(np.abs(row[~zero] - direct[~zero])) <= 5e-12
+
+
+@pytest.mark.parametrize("index", FILLED[:4], ids=lambda ix: ix.describe())
+def test_filled_rows_match_high_precision_differences(index):
+    n = 30
+    seq = mp_sequence(index)
+    with mp.workdps(60):
+        for row in index._log_rate_rows(n):
+            m = len(row)
+            exact = np.array([math.log(mp_rate(seq, m - d, d))
+                              for d in range(1, m + 1)])
+            assert np.max(np.abs(row - exact)) <= 1e-12
+
+
+def test_gamma_block_count_reads_one_diagonal(monkeypatch):
+    calls = {"rate": 0, "quad": 0}
+    rate = GammaIndex.log_unit_block_rate
+    quad = index_mod.integrate.quad
+
+    def counted_rate(self, r, d):
+        calls["rate"] += 1
+        return rate(self, r, d)
+
+    def counted_quad(*args, **kwargs):
+        calls["quad"] += 1
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(GammaIndex, "log_unit_block_rate", counted_rate)
+    monkeypatch.setattr(index_mod.integrate, "quad", counted_quad)
+    expected_blocks(64, GammaIndex(1.0, 1.0))
+    assert calls["rate"] <= 64
+    assert calls["quad"] <= 64
+
+
+def test_table_above_row_cap_evaluates_nothing():
+    class Untouchable(GammaIndex):
+        def log_unit_block_rate(self, r, d):
+            raise AssertionError("rate evaluated")
+
+        def unit_block_rate(self, r, d):
+            raise AssertionError("rate evaluated")
+
+        def unit_total_rate(self, n):
+            raise AssertionError("rate evaluated")
+
+    ix = Untouchable(1.0, 1.0)
+    with pytest.raises(ResourceError):
+        build_table(ix, MAX_TABLE_ROWS + 1)
+    with pytest.raises(ResourceError):
+        sample_rankings(MAX_TABLE_ROWS + 1, ix, np.random.default_rng(0), 1)
 
 
 # ---------------------------------------------------------------------------
