@@ -18,10 +18,10 @@ from .ranking import (OrderedPartition, bell, block_growth_probe,
                       sample_block_sizes, sample_ranking, sample_rankings,
                       stirling2)
 from .process import (CensoringPlan, Event, RiskSetTrajectory, TimeTransform,
-                      log_density, log_density_semimarkov, predictive_survival,
-                      residual_trajectory, sample_next, simulate,
-                      simulate_seeded, trajectory_from_csv, trajectory_to_csv,
-                      transform_times)
+                      TrajectoryBatch, log_density, log_density_semimarkov,
+                      predictive_survival, residual_trajectory, sample_next,
+                      simulate, simulate_batch, simulate_seeded,
+                      trajectory_from_csv, trajectory_to_csv, transform_times)
 from .random_measure import (ConstructionReport, MeasureRealization,
                              ResourceError, compare_constructions,
                              gamma_interval_totals, joint_survival,

@@ -5,7 +5,8 @@ Four subcommands: ``simulate`` writes a trajectory CSV, ``fit`` estimates
 ``blocks`` tabulates Monte Carlo and exact block-count statistics.  Every
 stochastic command requires an explicit seed so runs are reproducible; all
 numeric output is printed with six significant digits.  Exit codes: 0
-success, 2 usage, 3 data, 4 numeric.
+success, 2 usage, 3 data (including unreadable input and unwritable
+output), 4 numeric.
 """
 
 from __future__ import annotations
@@ -62,6 +63,17 @@ def _index_from_args(args) -> object:
     if family == "beta":
         return index_from_spec(family, rho=args.rho, beta=args.beta)
     raise ParameterError(f"unknown family {family!r}")
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -208,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate one trajectory")
     add_family(p)
     p.add_argument("-n", type=int, required=True, help="sample size")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", default="trajectory.csv")
     p.set_defaults(func=cmd_simulate)
 
@@ -234,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", required=True, dest="n_list",
                    help="comma-separated sample sizes")
     p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", default="blocks.csv")
     p.set_defaults(func=cmd_blocks)
 
@@ -251,6 +263,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, ResourceError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

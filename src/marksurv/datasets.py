@@ -39,14 +39,18 @@ def parse_dataset_text(text: str, label: str = "") -> Dataset:
             parts = ln.split(",")
             if len(parts) != 2:
                 raise DataError(f"bad CSV row: {ln!r}")
-            records.append((float(parts[0]), int(parts[1]) != 0))
+            try:
+                records.append((float(parts[0]), int(parts[1]) != 0))
+            except ValueError as exc:
+                raise DataError(f"bad CSV row: {ln!r}") from exc
     else:
         for ln in lines:
             for tok in ln.replace(",", " ").split():
-                if tok.endswith("*"):
-                    records.append((float(tok[:-1]), False))
-                else:
-                    records.append((float(tok), True))
+                try:
+                    records.append((float(tok.removesuffix("*")),
+                                    not tok.endswith("*")))
+                except ValueError as exc:
+                    raise DataError(f"bad time token: {tok!r}") from exc
     if not records:
         raise DataError("dataset is empty")
     try:

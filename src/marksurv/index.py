@@ -15,6 +15,9 @@ triangle r + d <= n.  They evaluate only the outer diagonal r + d = n and
 fill the rest inward by the additive identity
 lambda(r, d) = lambda(r, d + 1) + lambda(r + 1, d), a sum of non-negative
 terms with no cancellation; separable closed forms give each row directly.
+An index remembers each outer diagonal it evaluates, so samplers that read
+the rows again and again (one row per visited risk-set size, drawn by
+inverse CDF) evaluate no rate after the first pass.
 """
 
 from __future__ import annotations
@@ -67,8 +70,8 @@ class ResourceError(RuntimeError):
 
 
 # Largest n for which all rows of the rate triangle are kept at once
-# (splitting tables and the ranking sampler).  A table of n rows holds
-# (n + 1)**2 floats: 134 MB at 4096.
+# (splitting tables; the ranking sampler keeps the same limit).  A table of
+# n rows holds (n + 1)**2 floats: 134 MB at 4096.
 MAX_TABLE_ROWS = 4096
 
 
@@ -145,16 +148,18 @@ def _log_quad(log_f: Callable[[float], float], lo: float, hi: float,
     return peak + math.log(value)
 
 
-# Harmonic rates at rho at or above this go through Stirling's series.
+# Harmonic and beta rates at rho at or above this go through Stirling's
+# series.
 _STIRLING_MIN = 100.0
 
 
-def _log_rising(x: float, k):
-    """log Gamma(x + k) - log Gamma(x) for x >= _STIRLING_MIN and k >= 0.
+def _log_rising(x, k):
+    """log Gamma(x + k) - log Gamma(x), elementwise, for x >= _STIRLING_MIN
+    and k > -1.
 
     Both log-gammas are near x log x - x, so subtracting them loses about
     eps * x log x; Stirling's series gives the difference term by term,
-    with truncation error below 1 / (1680 x**7).
+    with truncation error below 1 / (1680 (x - 1)**7).
     """
     def series(t):
         t2 = t * t
@@ -176,21 +181,80 @@ def _digamma_difference(rho: float, n: int) -> float:
     return hi - lo
 
 
-def _separable_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Yield the log rates a[d] + b[r] + c[r + d] of a separable closed form
-    as rows m = r + d, from m = len(a) - 1 down to 1."""
-    for m in range(len(a) - 1, 0, -1):
-        yield a[1:m + 1] + b[m - 1::-1] + c[m]
+def _separable_reader(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Row reader for a separable form a[d] + b[r] + c[r + d]: row m = r + d
+    costs one vector sum, whichever m is asked."""
+    def read(m: int) -> np.ndarray:
+        return a[1:m + 1] + b[m - 1::-1] + c[m]
+    return read
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """lf[k] = log k! for k = 0..n."""
+    return special.gammaln(np.arange(1.0, n + 2.0))
 
 
 def _first_block_log_rows(rule, n: int):
     """Yield log C(m, d) q(m - d, d), d = 1..m, for m = n down to 1, from the
     rows of log splitting probabilities that ``rule`` (an index or a
     SplittingTable) gives."""
-    lf = special.gammaln(np.arange(1.0, n + 2.0))  # lf[k] = log k!
+    lf = _log_factorials(n)
     for logq in rule._log_split_rows(n):
         m = len(logq)
         yield lf[m] - lf[1:m + 1] - lf[m - 1::-1] + logq
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _memo(index) -> dict:
+    """The per-instance memo of an index: equal indices do not share it."""
+    return index.__dict__.setdefault("_memo", {})
+
+
+def _first_block_reader(rule, n: int):
+    """Return ``row(m)``: log C(m, d) q(m - d, d) plus a constant of the row,
+    d = 1..m, for m <= n taken in non-increasing order.  The constant (the
+    log total rate of an index) drops out of an inverse-CDF draw.
+
+    For a separable index log C(m, d) = lf[m] - lf[d] - lf[r] joins its
+    terms, so a row is one vector sum.  Entry i of each term depends on i
+    alone, so the index remembers the longest terms asked for and reads
+    shorter ones from them.
+    """
+    if rule._log_terms is not None:
+        memo = _memo(rule)
+        terms = memo.get("first block")
+        if terms is None or len(terms[0]) <= n:
+            lf = _log_factorials(n)
+            a, b, c = rule._log_terms(n)
+            terms = memo["first block"] = tuple(
+                _read_only(x) for x in (a - lf, b - lf, c + lf))
+        return _separable_reader(*terms)
+    lf = _log_factorials(n)
+    read = rule._log_row_reader(n)
+
+    def row(m: int) -> np.ndarray:
+        return lf[m] - lf[1:m + 1] - lf[m - 1::-1] + read(m)
+    return row
+
+
+def _draw_block_sizes(logw: np.ndarray, u):
+    """Block sizes 1..len(logw) by inverse CDF from log weights known up to a
+    constant, one per uniform in ``u`` (a float or an array of [0, 1)).
+
+    The first cumulative weight above u * total is never that of a zero
+    weight.  A NaN or infinite weight, or a row of zeros, raises.
+    """
+    top = logw.max()
+    if not -math.inf < top < math.inf:
+        raise NumericError(
+            f"first-block weights out of {len(logw)} at risk are not finite "
+            "and positive")
+    cum = np.exp(logw - top).cumsum()
+    return cum.searchsorted(u * cum[-1], side="right") + 1
 
 
 def _check_table_rows(n: int) -> None:
@@ -210,6 +274,10 @@ class CharacteristicIndex:
     multiplicative rate parameter expose it separately through ``scale``.
 
     Instances are immutable after construction and safe for concurrent reads.
+    An instance remembers, as read-only arrays, each outer diagonal of log
+    block rates it evaluates (one per n asked), and a separable one its
+    longest first-block terms; the memo lives on the instance, not in a
+    shared cache.
     """
 
     @property
@@ -243,20 +311,54 @@ class CharacteristicIndex:
         q = self.unit_block_rate(r, d) / self.unit_total_rate(r + d)
         return min(max(q, 0.0), 1.0)
 
-    def _log_rate_rows(self, n: int):
-        """Yield log unit_block_rate(m - d, d), d = 1..m, for m = n down to 1.
+    def _log_difference(self, r: int, d: int) -> float:
+        """log of the signed d-th forward difference of the unit total rate
+        at r: the alternating sum where it is short and loses little to
+        cancellation, otherwise the family's integral ``_log_rate_quad``."""
+        if d <= _NAIVE_DIFF_MAX:
+            val, cancel = _alternating_difference(self.unit_total_rate, r, d)
+            if cancel <= _CANCEL_TOL:
+                return math.log(val)
+        return self._log_rate_quad(r, d)
 
-        Only diagonal n is evaluated entry by entry; every inner row follows
-        from the one outside it by the additive identity, one vector step per
-        row.  Separable families override this with their closed form.
+    def _log_diagonal(self, n: int) -> np.ndarray:
+        """log unit_block_rate(n - d, d), d = 1..n, evaluated entry by entry
+        through ``log_unit_block_rate`` once per instance, keyed by n."""
+        memo = _memo(self)
+        if n not in memo:
+            memo[n] = _read_only(np.array([self.log_unit_block_rate(n - d, d)
+                                           for d in range(1, n + 1)]))
+        return memo[n]
+
+    # Separable families set this to a method giving, for n, arrays a, b, c
+    # of length n + 1 with log unit_block_rate(r, d) = a[d] + b[r] + c[r + d].
+    _log_terms = None
+
+    def _log_row_reader(self, n: int):
+        """Return ``read(m)``: log unit_block_rate(m - d, d), d = 1..m, for
+        m <= n taken in non-increasing order.
+
+        A separable family reads any row directly from its closed form.
+        Otherwise only diagonal n is evaluated entry by entry, and
+        remembered; every inner row follows from the one outside it by the
+        additive identity, one vector step per row.
         """
-        row = np.array([self.log_unit_block_rate(n - d, d)
-                        for d in range(1, n + 1)])
-        while True:
-            yield row
-            if len(row) == 1:
-                return
-            row = np.logaddexp(row[1:], row[:-1])
+        if self._log_terms is not None:
+            return _separable_reader(*self._log_terms(n))
+        row = self._log_diagonal(n)
+
+        def read(m: int) -> np.ndarray:
+            nonlocal row
+            while len(row) > m:
+                row = np.logaddexp(row[1:], row[:-1])
+            return row
+        return read
+
+    def _log_rate_rows(self, n: int):
+        """Yield log unit_block_rate(m - d, d), d = 1..m, for m = n to 1."""
+        read = self._log_row_reader(n)
+        for m in range(n, 0, -1):
+            yield read(m)
 
     def _log_split_rows(self, n: int):
         """Yield log split_prob(m - d, d), d = 1..m, for m = n down to 1."""
@@ -315,14 +417,14 @@ class HarmonicIndex(CharacteristicIndex):
     def unit_block_rate(self, r: int, d: int) -> float:
         return math.exp(self.log_unit_block_rate(r, d))
 
-    def _log_rate_rows(self, n: int):
+    def _log_terms(self, n: int):
         i = np.arange(n + 1, dtype=float)
         # Only differences g[r] - g[r + d] enter the rates.
         if self.rho < _STIRLING_MIN:
             g = special.gammaln(self.rho + i)
         else:
             g = _log_rising(self.rho, i)
-        return _separable_rows(special.gammaln(np.maximum(i, 1.0)), g, -g)
+        return special.gammaln(np.maximum(i, 1.0)), g, -g
 
 
 # Scaling probes for the gamma integrand in its rescaled variable.
@@ -349,21 +451,12 @@ class GammaIndex(CharacteristicIndex):
     def unit_total_rate(self, n: int) -> float:
         return math.log1p(n / self.rho)
 
-    def unit_block_rate(self, r: int, d: int) -> float:
-        _check_rd(r, d)
-        if d <= _NAIVE_DIFF_MAX:
-            val, cancel = _alternating_difference(self.unit_total_rate, r, d)
-            if cancel <= _CANCEL_TOL:
-                return val
-        return math.exp(self._log_rate_quad(r, d))
-
     def log_unit_block_rate(self, r: int, d: int) -> float:
         _check_rd(r, d)
-        if d <= _NAIVE_DIFF_MAX:
-            val, cancel = _alternating_difference(self.unit_total_rate, r, d)
-            if cancel <= _CANCEL_TOL:
-                return math.log(val)
-        return self._log_rate_quad(r, d)
+        return self._log_difference(r, d)
+
+    def unit_block_rate(self, r: int, d: int) -> float:
+        return math.exp(self.log_unit_block_rate(r, d))
 
     def _log_rate_quad(self, r: int, d: int) -> float:
         a = self.rho + r
@@ -393,21 +486,12 @@ class PowerIndex(CharacteristicIndex):
     def unit_total_rate(self, n: int) -> float:
         return float(n) ** self.alpha
 
-    def unit_block_rate(self, r: int, d: int) -> float:
-        _check_rd(r, d)
-        if d <= _NAIVE_DIFF_MAX:
-            val, cancel = _alternating_difference(self.unit_total_rate, r, d)
-            if cancel <= _CANCEL_TOL:
-                return val
-        return math.exp(self._log_rate_quad(r, d))
-
     def log_unit_block_rate(self, r: int, d: int) -> float:
         _check_rd(r, d)
-        if d <= _NAIVE_DIFF_MAX:
-            val, cancel = _alternating_difference(self.unit_total_rate, r, d)
-            if cancel <= _CANCEL_TOL:
-                return math.log(val)
-        return self._log_rate_quad(r, d)
+        return self._log_difference(r, d)
+
+    def unit_block_rate(self, r: int, d: int) -> float:
+        return math.exp(self.log_unit_block_rate(r, d))
 
     def _log_rate_quad(self, r: int, d: int) -> float:
         al = self.alpha
@@ -449,10 +533,10 @@ class GeometricIndex(CharacteristicIndex):
     def unit_block_rate(self, r: int, d: int) -> float:
         return math.exp(self.log_unit_block_rate(r, d))
 
-    def _log_rate_rows(self, n: int):
+    def _log_terms(self, n: int):
         i = np.arange(n + 1, dtype=float)
-        return _separable_rows(i * math.log1p(-self.alpha),
-                               i * math.log(self.alpha), np.zeros(n + 1))
+        return (i * math.log1p(-self.alpha), i * math.log(self.alpha),
+                np.zeros(n + 1))
 
 
 @dataclass(frozen=True, repr=False)
@@ -466,10 +550,10 @@ class LinearIndex(CharacteristicIndex):
         _check_rd(r, d)
         return 1.0 if d == 1 else 0.0
 
-    def _log_rate_rows(self, n: int):
+    def _log_terms(self, n: int):
         a = np.full(n + 1, -np.inf)
         a[1] = 0.0
-        return _separable_rows(a, np.zeros(n + 1), np.zeros(n + 1))
+        return a, np.zeros(n + 1), np.zeros(n + 1)
 
 
 @dataclass(frozen=True, repr=False)
@@ -510,33 +594,49 @@ class BetaSplitIndex(CharacteristicIndex):
         if not (self.beta > -1.0):
             raise ParameterError(f"beta must exceed -1, got {self.beta}")
 
+    def _log_rates(self, r, d):
+        """log B(rho + r, beta + d), elementwise; at large rho through
+        Stirling's series, as for the harmonic family."""
+        if self.rho < _STIRLING_MIN:
+            return special.betaln(self.rho + r, self.beta + d)
+        return special.gammaln(self.beta + d) - _log_rising(self.rho + r,
+                                                            self.beta + d)
+
     def unit_total_rate(self, n: int) -> float:
         b = self.beta
         if b == 0.0:
             return _digamma_difference(self.rho, n)
-        head = math.exp(math.lgamma(self.rho) - math.lgamma(self.rho + b))
-        tail = math.exp(math.lgamma(n + self.rho)
-                        - math.lgamma(n + self.rho + b))
+        if self.rho < _STIRLING_MIN:
+            head = math.exp(math.lgamma(self.rho) - math.lgamma(self.rho + b))
+            tail = math.exp(math.lgamma(n + self.rho)
+                            - math.lgamma(n + self.rho + b))
+        else:
+            head = math.exp(-_log_rising(self.rho, b))
+            tail = math.exp(-_log_rising(n + self.rho, b))
         if (head + tail) * _EPS > _CANCEL_TOL * abs(head - tail):
             # At small beta or large rho head and tail cancel; the index
             # telescopes into the positive singleton rates lambda(k, 1), k < n.
             k = np.arange(n, dtype=float)
-            return float(np.exp(special.betaln(self.rho + k, b + 1.0)).sum())
+            return float(np.exp(self._log_rates(k, 1.0)).sum())
         return math.exp(math.lgamma(b + 1.0)) / b * (head - tail)
 
     def log_unit_block_rate(self, r: int, d: int) -> float:
         _check_rd(r, d)
-        return float(special.betaln(self.rho + r, self.beta + d))
+        return float(self._log_rates(r, d))
 
     def unit_block_rate(self, r: int, d: int) -> float:
         return math.exp(self.log_unit_block_rate(r, d))
 
-    def _log_rate_rows(self, n: int):
+    def _log_terms(self, n: int):
         i = np.arange(n + 1, dtype=float)
-        return _separable_rows(
-            special.gammaln(np.maximum(self.beta + i, _EPS)),
-            special.gammaln(self.rho + i),
-            -special.gammaln(self.rho + self.beta + i))
+        if self.rho < _STIRLING_MIN:
+            b = special.gammaln(self.rho + i)
+            c = -special.gammaln(self.rho + self.beta + i)
+        else:
+            # The same terms less log Gamma(rho), which cancels in b + c.
+            b = _log_rising(self.rho, i)
+            c = -_log_rising(self.rho, self.beta + i)
+        return special.gammaln(np.maximum(self.beta + i, _EPS)), b, c
 
 
 # ---------------------------------------------------------------------------
@@ -771,15 +871,24 @@ class SplittingTable:
 
     split_prob = prob
 
-    def _log_split_rows(self, n: int):
-        """Yield log q(m - d, d), d = 1..m, for m = n down to 1."""
+    _log_terms = None
+
+    def _log_row_reader(self, n: int):
+        """Return ``read(m)``: log q(m - d, d), d = 1..m, for any m <= n."""
         if n > self.max_n:
             raise ParameterError(f"table covers n <= {self.max_n}, got {n}")
-        with np.errstate(divide="ignore"):
-            logq = np.log(self.probs)
         d = np.arange(1, n + 1)
+
+        def read(m: int) -> np.ndarray:
+            with np.errstate(divide="ignore"):
+                return np.log(self.probs[m - d[:m], d[:m]])
+        return read
+
+    def _log_split_rows(self, n: int):
+        """Yield log q(m - d, d), d = 1..m, for m = n down to 1."""
+        read = self._log_row_reader(n)
         for m in range(n, 0, -1):
-            yield logq[m - d[:m], d[:m]]
+            yield read(m)
 
     def first_block_weights(self, m: int) -> np.ndarray:
         """C(m, d) * q(m - d, d) for d = 1..m."""

@@ -76,8 +76,8 @@ class Dataset:
         object.__setattr__(self, "failed", failed)
         if len(times) != len(failed):
             raise ParameterError("times and status flags must align")
-        if any(not t > 0.0 for t in times):
-            raise ParameterError("event times must be positive")
+        if any(not 0.0 < t < math.inf for t in times):
+            raise ParameterError("event times must be positive and finite")
 
     @classmethod
     def from_records(cls, records, label: str = "") -> "Dataset":

@@ -8,6 +8,11 @@ log density, computes the predictive survival curve for the next
 individual, draws from it, extends a seed trajectory, and applies monotone
 time changes.
 
+Without censoring the block sizes form a Markov chain on the risk-set size,
+so many trajectories advance together: one step per visited size m, with an
+exponential holding time at the total rate and a block size drawn by
+inverse CDF from the first-block row for m.
+
 Trajectories are immutable value objects; every stochastic function takes an
 explicit ``numpy.random.Generator``, so Monte Carlo parallelizes by handing
 each worker its own spawned generator.
@@ -23,15 +28,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .index import CharacteristicIndex, ParameterError
-from .ranking import sample_first_block_size
+from .index import (CharacteristicIndex, ParameterError, _draw_block_sizes,
+                    _first_block_reader)
 
 __all__ = [
     "Event",
     "RiskSetTrajectory",
     "CensoringPlan",
     "TimeTransform",
+    "TrajectoryBatch",
     "simulate",
+    "simulate_batch",
     "log_density",
     "predictive_survival",
     "sample_next",
@@ -166,20 +173,116 @@ class CensoringPlan:
         return cls((math.inf,) * n)
 
 
+@dataclass(frozen=True, eq=False)
+class TrajectoryBatch:
+    """Uncensored trajectories of ``reps`` independent runs from n at risk,
+    as columns with one entry per failure block, ordered by rep and then
+    time: the rep, the block's time and its size."""
+
+    n: int
+    reps: int
+    rep: np.ndarray
+    time: np.ndarray
+    size: np.ndarray
+
+    @property
+    def num_blocks(self) -> np.ndarray:
+        """Number of failure blocks (distinct failure times) of each rep."""
+        return np.bincount(self.rep, minlength=self.reps)
+
+
+def _block_sweep(rule, n: int, reps: int, rng):
+    """Advance ``reps`` block-size chains from n at risk down to none.
+
+    Yields ``(m, at, d)`` for each risk-set size m that some chain visits,
+    from the top down: the chains at m (in ascending order) and the block
+    sizes they draw, all from one first-block row.  ``rule`` is an index or
+    a SplittingTable.
+    """
+    first_block = _first_block_reader(rule, n) if n > 1 else None
+    level = np.full(reps, n)
+    m = n
+    while m > 0:
+        at = (level == m).nonzero()[0]
+        if m == 1:
+            d = np.ones(at.size, dtype=np.int64)
+        else:
+            d = _draw_block_sizes(first_block(m), rng.random(at.size))
+        yield m, at, d
+        level[at] -= d
+        m = int(level.max())
+
+
+def simulate_batch(n: int, index: CharacteristicIndex, reps: int,
+                   rng) -> TrajectoryBatch:
+    """Simulate ``reps`` uncensored trajectories of n individuals at once.
+
+    One sweep down the risk-set sizes advances every rep at the current
+    size together: an exponential holding time at the total rate, then a
+    block size from the first-block row.  Particle ids are not drawn; by
+    exchangeability any assignment of ids to blocks is equally likely.
+    """
+    if n < 1:
+        raise ParameterError("n must be >= 1")
+    if reps < 1:
+        raise ParameterError("reps must be >= 1")
+    if rng is None:
+        raise ParameterError("an explicit random generator is required")
+    if reps == 1:
+        # The same steps and draws on plain numbers: at small n the array
+        # bookkeeping of the sweep would cost more than the draws.
+        first_block = _first_block_reader(index, n) if n > 1 else None
+        times, sizes = [], []
+        m, t = n, 0.0
+        while m > 0:
+            d = 1 if m == 1 else int(_draw_block_sizes(first_block(m),
+                                                       rng.random()))
+            t += rng.standard_exponential() / index.total_rate(m)
+            times.append(t)
+            sizes.append(d)
+            m -= d
+        return TrajectoryBatch(n=n, reps=1, rep=np.zeros(len(sizes), np.intp),
+                               time=np.array(times), size=np.array(sizes))
+    clock = np.zeros(reps)
+    reps_at, times, sizes = [], [], []
+    for m, at, d in _block_sweep(index, n, reps, rng):
+        t = clock[at] + rng.standard_exponential(at.size) / index.total_rate(m)
+        clock[at] = t
+        reps_at.append(at)
+        times.append(t)
+        sizes.append(d)
+    rep = np.concatenate(reps_at)
+    # Within a rep the sweep already runs forward in time.
+    order = rep.argsort(kind="stable")
+    return TrajectoryBatch(n=n, reps=reps, rep=rep[order],
+                           time=np.concatenate(times)[order],
+                           size=np.concatenate(sizes)[order])
+
+
 def simulate(n: int, index: CharacteristicIndex,
              plan: Optional[CensoringPlan] = None, rng=None) -> RiskSetTrajectory:
     """Simulate the trajectory of n individuals under the given index.
 
     Holding times are exponential at the total rate of the current risk-set
-    size; at each failure epoch the block of failures is drawn from the
-    splitting distribution.  Censoring removes individuals at their planned
-    times without a failure event.
+    size; at each failure epoch the block size is drawn from the first-block
+    law and the failing individuals uniformly among those at risk.
+    Censoring removes individuals at their planned times without a failure
+    event.  Without a plan this is ``simulate_batch`` with one rep, the
+    blocks taking consecutive slices of a random permutation of the ids.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
     if rng is None:
         raise ParameterError("an explicit random generator is required")
-    censor = list(plan.times) if plan is not None else [math.inf] * n
+    if plan is None:
+        batch = simulate_batch(n, index, 1, rng)
+        ids = rng.permutation(n).tolist()
+        events = []
+        for t, d in zip(batch.time.tolist(), batch.size.tolist()):
+            events.append(Event(t, d, 0, failed=tuple(sorted(ids[:d]))))
+            del ids[:d]
+        return RiskSetTrajectory(n, tuple(events))
+    censor = list(plan.times)
     if len(censor) != n:
         raise ParameterError("censoring plan length must equal n")
 
@@ -187,6 +290,8 @@ def simulate(n: int, index: CharacteristicIndex,
     n_initial = len(alive)
     pending = sorted((censor[i], i) for i in alive if math.isfinite(censor[i]))
     p_next = 0
+    if n_initial > 1:
+        first_block = _first_block_reader(index, n_initial)
 
     events = []
     t = 0.0
@@ -209,7 +314,8 @@ def simulate(n: int, index: CharacteristicIndex,
             events.append(Event(t, 0, len(ids), censored=tuple(sorted(ids))))
             continue
         t = t + hold
-        d = sample_first_block_size(m, index, rng)
+        d = 1 if m == 1 else int(_draw_block_sizes(first_block(m),
+                                                   rng.random()))
         order = sorted(alive_set)
         picked = rng.choice(m, size=d, replace=False)
         ids = tuple(sorted(order[i] for i in picked))

@@ -305,9 +305,7 @@ def compare_constructions(nu: float, rho: float, n: int,
         _measure_distinct_counts(nu, rho, n, eps,
                                  min(chunk, reps - start), rng)
         for start in range(0, reps, chunk)])
-    counts_markov = np.empty(reps, dtype=np.int64)
-    for i in range(reps):
-        counts_markov[i] = simulate_distinct_count(n, index, rng)
+    counts_markov = process.simulate_batch(n, index, reps, rng).num_blocks
     kvals = np.arange(1, n + 1)
     p1 = np.array([(counts_measure == k).mean() for k in kvals])
     p2 = np.array([(counts_markov == k).mean() for k in kvals])
@@ -325,8 +323,7 @@ def compare_constructions(nu: float, rho: float, n: int,
 
 def simulate_distinct_count(n: int, index: CharacteristicIndex, rng) -> int:
     """Number of distinct failure times in one direct Markov simulation."""
-    traj = process.simulate(n, index, rng=rng)
-    return traj.num_failure_times
+    return int(process.simulate_batch(n, index, 1, rng).num_blocks[0])
 
 
 def _product_grid(values, n):

@@ -18,7 +18,9 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .index import (CharacteristicIndex, ParameterError, SplittingTable,
-                    _check_table_rows, _first_block_log_rows)
+                    _check_table_rows, _draw_block_sizes,
+                    _first_block_log_rows, _first_block_reader)
+from .process import _block_sweep, simulate_batch
 
 __all__ = [
     "OrderedPartition",
@@ -150,34 +152,26 @@ def first_block_distribution(n: int, rule: Rule) -> np.ndarray:
     return out
 
 
-def _draw_from_weights(weights: np.ndarray, rng) -> int:
-    u = rng.random() * weights.sum()
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if acc >= u:
-            return i + 1
-    return len(weights)
-
-
 def sample_rankings(n: int, rule: Rule, rng, reps: int) -> list:
-    """Draw ``reps`` ordered partitions of range(n) sequentially."""
+    """Draw ``reps`` ordered partitions of range(n).
+
+    The block sizes of every rep come from one top-down sweep of the
+    first-block rows; each rep's blocks are then consecutive slices of a
+    uniform random permutation, which picks every block uniformly among
+    the ids that remain.
+    """
     if n < 1:
         raise ParameterError("n must be >= 1")
     _check_table_rows(n)
-    rows = {len(w): np.exp(w) for w in _first_block_log_rows(rule, n)}
+    if reps < 1:
+        return []
+    steps = [(at, d) for _, at, d in _block_sweep(rule, n, reps, rng)]
+    rep = np.concatenate([at for at, _ in steps])
+    size = np.concatenate([d for _, d in steps])[rep.argsort(kind="stable")]
     out = []
-    for _ in range(reps):
-        remaining = list(range(n))
-        blocks = []
-        while remaining:
-            m = len(remaining)
-            d = 1 if m == 1 else _draw_from_weights(rows[m], rng)
-            picked = rng.choice(m, size=d, replace=False)
-            picked_ids = frozenset(remaining[i] for i in picked)
-            blocks.append(picked_ids)
-            remaining = [x for x in remaining if x not in picked_ids]
-        out.append(OrderedPartition(tuple(blocks)))
+    for sizes in np.split(size, np.cumsum(np.bincount(rep))[:-1]):
+        blocks = np.split(rng.permutation(n), np.cumsum(sizes)[:-1])
+        out.append(OrderedPartition(tuple(b.tolist() for b in blocks)))
     return out
 
 
@@ -187,39 +181,19 @@ def sample_ranking(n: int, rule: Rule, rng) -> OrderedPartition:
 
 
 def sample_first_block_size(m: int, index: CharacteristicIndex, rng) -> int:
-    """Draw the size of the next failure block out of m at risk, walking the
-    size distribution incrementally so large risk sets stay cheap."""
+    """Draw the size of the next failure block out of m at risk: one
+    inverse-CDF draw from the first-block row for m."""
     if m < 1:
         raise ParameterError("m must be >= 1")
     if m == 1:
         return 1
-    log = math.log
-    exp = math.exp
-    lograte = index.log_unit_block_rate
-    u = rng.random()
-    logz = log(index.unit_total_rate(m))
-    logc = log(m)
-    acc = 0.0
-    for j in range(1, m + 1):
-        if j > 1:
-            logc += log((m - j + 1) / j)
-        lp = logc + lograte(m - j, j) - logz
-        if lp > -745.0:
-            acc += exp(lp)
-        if acc >= u:
-            return j
-    return m
+    return int(_draw_block_sizes(_first_block_reader(index, m)(m),
+                                 rng.random()))
 
 
 def sample_block_sizes(n: int, index: CharacteristicIndex, rng) -> list:
     """Draw the ordered block sizes of a random partial ranking."""
-    sizes = []
-    m = n
-    while m > 0:
-        d = sample_first_block_size(m, index, rng)
-        sizes.append(d)
-        m -= d
-    return sizes
+    return simulate_batch(n, index, 1, rng).size.tolist()
 
 
 def expected_blocks(n: int, rule: Rule) -> float:
@@ -253,8 +227,7 @@ def block_growth_probe(index: CharacteristicIndex, n_list: Sequence[int],
     """Monte Carlo block-count means with standard errors, one row per n."""
     rows = []
     for n in n_list:
-        counts = np.array([len(sample_block_sizes(n, index, rng))
-                           for _ in range(reps)], dtype=float)
+        counts = simulate_batch(n, index, reps, rng).num_blocks.astype(float)
         rows.append(BlockGrowthRow(
             n=int(n),
             mean_blocks=float(counts.mean()),

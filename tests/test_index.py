@@ -15,6 +15,7 @@ from marksurv.index import (MAX_TABLE_ROWS, BetaSplitIndex,
                             dislocation_from_levy, index_from_spec,
                             levy_from_dislocation, normalization_defect,
                             weak_continuity_defect)
+from marksurv.process import simulate
 from marksurv.ranking import expected_blocks, sample_rankings
 
 mp.mp.dps = 50
@@ -261,13 +262,16 @@ def test_build_table_rejects_non_finite():
 @pytest.mark.parametrize("index", [
     HarmonicIndex(1.0, 1e8),
     BetaSplitIndex(1.0, 1e-12),
+    BetaSplitIndex(1e8, 0.5),
 ], ids=lambda ix: ix.describe())
 def test_build_table_closed_forms_at_extreme_parameters(index):
-    # The closed-form totals cancel here, and so do the harmonic family's
-    # log-gamma differences; the singleton sum and Stirling's series keep
-    # every row normalized.
+    # The closed-form totals cancel here, and so do the log-gamma
+    # differences of the harmonic and beta rates at large rho; the
+    # singleton sum and Stirling's series keep every row normalized.
     tab = build_table(index, 5)
     assert normalization_defect(tab) < 1e-12
+    traj = simulate(5, index, rng=np.random.default_rng(8))
+    assert traj.n_deaths == 5
 
 
 def test_total_rate_without_cancellation():

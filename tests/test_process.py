@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from marksurv.index import (GammaIndex, GeometricIndex, HarmonicIndex,
-                            LinearIndex, ParameterError)
+from marksurv.index import (BetaSplitIndex, GammaIndex, GeometricIndex,
+                            HarmonicIndex, LinearIndex, LinearShiftIndex,
+                            ParameterError, PowerIndex)
 from marksurv.process import (CensoringPlan, Event, RiskSetTrajectory,
                               TimeTransform, log_density,
                               log_density_semimarkov, predictive_survival,
                               residual_trajectory, sample_next, simulate,
-                              simulate_seeded, trajectory_from_csv,
-                              trajectory_to_csv, transform_times)
+                              simulate_batch, simulate_seeded,
+                              trajectory_from_csv, trajectory_to_csv,
+                              transform_times, _block_sweep)
 
 H11 = HarmonicIndex(1.0, 1.0)
 
@@ -131,6 +133,87 @@ def test_deletion_consistency():
     assert stats.chi2.sf(chi2, keep.sum() - 1) > 0.001
 
 
+def test_batch_columns_describe_whole_trajectories():
+    rng = make_rng(16)
+    batch = simulate_batch(30, GammaIndex(1.0, 1.0), 200, rng)
+    assert batch.n == 30 and batch.reps == 200
+    assert np.all(np.diff(batch.rep) >= 0)
+    same_rep = np.diff(batch.rep) == 0
+    assert np.all(np.diff(batch.time)[same_rep] > 0.0)
+    assert np.array_equal(np.bincount(batch.rep, weights=batch.size),
+                          np.full(200, 30.0))
+    assert batch.num_blocks.sum() == len(batch.rep)
+
+
+@pytest.mark.parametrize("index", [H11, GammaIndex(1.0, 2.0),
+                                   LinearShiftIndex(1.0)],
+                         ids=lambda ix: ix.describe())
+def test_one_rep_matches_the_sweep(index):
+    # One rep runs on plain numbers; it must take the sweep's steps and
+    # draws bit for bit.
+    for n in (1, 2, 7, 40):
+        batch = simulate_batch(n, index, 1, make_rng(17))
+        rng = make_rng(17)
+        t, times, sizes = 0.0, [], []
+        for m, at, d in _block_sweep(index, n, 1, rng):
+            t += rng.standard_exponential(at.size)[0] / index.total_rate(m)
+            times.append(t)
+            sizes.append(int(d[0]))
+        assert batch.time.tolist() == times
+        assert batch.size.tolist() == sizes
+
+
+def counting_rates(monkeypatch, cls):
+    calls = []
+    for name in ("log_unit_block_rate", "unit_block_rate"):
+        orig = getattr(cls, name)
+
+        def counted(self, r, d, _orig=orig):
+            calls.append((r, d))
+            return _orig(self, r, d)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_second_simulate_on_warm_index_evaluates_no_rate(monkeypatch):
+    calls = counting_rates(monkeypatch, GammaIndex)
+    index = GammaIndex(1.0, 1.0)
+    plan = CensoringPlan((0.3,) * 10 + (math.inf,) * 30)
+    simulate(40, index, rng=make_rng(18))
+    simulate(40, index, plan, rng=make_rng(18))
+    assert calls
+    calls.clear()
+    simulate(40, index, rng=make_rng(19))
+    simulate(40, index, plan, rng=make_rng(19))
+    simulate_batch(40, index, 50, make_rng(19))
+    assert calls == []
+
+
+@pytest.mark.parametrize("make_index", [
+    lambda: GammaIndex(1.0, 1.0), lambda: PowerIndex(0.7),
+    lambda: HarmonicIndex(1.0, 2.0), lambda: HarmonicIndex(1.0, 150.0),
+    lambda: BetaSplitIndex(1.0, -0.5),
+], ids=["gamma", "power", "harmonic", "harmonic-stirling", "beta"])
+def test_seeded_output_same_with_cold_or_warm_memo(make_index):
+    # The warm index has also served a larger n, whose separable terms
+    # then serve n = 25 as well.
+    plan = CensoringPlan((0.2, 0.5) * 5 + (math.inf,) * 15)
+    cold, warm = make_index(), make_index()
+    for n in (25, 40):
+        simulate(n, warm, rng=make_rng(1))
+    simulate(25, warm, plan, rng=make_rng(1))
+    runs = {}
+    for index in (cold, warm):
+        runs[index is warm] = (simulate(25, index, rng=make_rng(20)),
+                               simulate(25, index, plan, rng=make_rng(20)),
+                               simulate_batch(25, index, 30, make_rng(20)))
+    assert runs[True][:2] == runs[False][:2]
+    for col in ("rep", "time", "size"):
+        assert np.array_equal(getattr(runs[True][2], col),
+                              getattr(runs[False][2], col))
+
+
 # ---------------------------------------------------------------------------
 # density
 
@@ -192,21 +275,18 @@ def test_density_matches_simulation_histogram():
     rng = make_rng(15)
     reps = 1_000_000
     edges = np.array([0.0, 0.25, 0.55, 1.0, 1.7])
-    tie_counts = np.zeros(len(edges) - 1)
-    split_counts = np.zeros((len(edges) - 1, len(edges) - 1))
-    for _ in range(reps):
-        traj = simulate(2, H11, rng=rng)
-        if traj.events[0].n_failures == 2:
-            t = traj.events[0].time
-            i = np.searchsorted(edges, t) - 1
-            if 0 <= i < len(edges) - 1:
-                tie_counts[i] += 1
-        else:
-            t1, t2 = traj.events[0].time, traj.events[1].time
-            i = np.searchsorted(edges, t1) - 1
-            j = np.searchsorted(edges, t2) - 1
-            if 0 <= i < len(edges) - 1 and 0 <= j < len(edges) - 1:
-                split_counts[i, j] += 1
+    nbins = len(edges) - 1
+    batch = simulate_batch(2, H11, reps, rng)
+    first = np.searchsorted(batch.rep, np.arange(reps))
+    tied = batch.num_blocks == 1
+    i = np.searchsorted(edges, batch.time[first[tied]]) - 1
+    tie_counts = np.bincount(i[(0 <= i) & (i < nbins)], minlength=nbins)
+    split = first[~tied]
+    i = np.searchsorted(edges, batch.time[split]) - 1
+    j = np.searchsorted(edges, batch.time[split + 1]) - 1
+    inside = (0 <= i) & (i < nbins) & (0 <= j) & (j < nbins)
+    split_counts = np.bincount(i[inside] * nbins + j[inside],
+                               minlength=nbins * nbins).reshape(nbins, nbins)
 
     def tie_density(t):
         return math.exp(log_density(

@@ -6,7 +6,9 @@ from scipy import special, stats
 
 from marksurv.index import (BetaSplitIndex, GammaIndex, GeometricIndex,
                             HarmonicIndex, LinearIndex, LinearShiftIndex,
-                            ParameterError, build_table)
+                            NumericError, ParameterError, PowerIndex,
+                            _draw_block_sizes, _first_block_reader,
+                            build_table)
 from marksurv.ranking import (OrderedPartition, bell, block_growth_probe,
                               block_growth_csv, enumerate_ordered_partitions,
                               expected_blocks, first_block_distribution,
@@ -269,3 +271,67 @@ def test_block_growth_csv_format():
     assert len(lines) == 3
     assert lines[1].startswith("16,")
     assert "geometric" in lines[1]
+
+
+# ---------------------------------------------------------------------------
+# the inverse-CDF draw
+
+
+def bernstein_halfwidth(n, p, alpha):
+    """Half-width t with P(|Bin(n, p) - n p| >= t) <= alpha by Bernstein's
+    inequality for a sum of n terms in [0, 1]."""
+    log_term = math.log(2.0 / alpha)
+    return log_term / 3.0 + math.sqrt(log_term ** 2 / 9.0
+                                      + 2.0 * n * p * (1.0 - p) * log_term)
+
+
+@pytest.mark.parametrize("index", [
+    HarmonicIndex(1.0, 1.0), BetaSplitIndex(1.0, -0.5), GammaIndex(1.0, 1.0),
+    PowerIndex(0.5), LinearIndex(), LinearShiftIndex(1.0),
+], ids=lambda ix: ix.describe())
+def test_inverse_cdf_draw_matches_first_block_law(index):
+    rng = np.random.default_rng(21)
+    draws = 200000
+    for m in range(2, 7):
+        sizes = _draw_block_sizes(_first_block_reader(index, m)(m),
+                                  rng.random(draws))
+        counts = np.bincount(sizes, minlength=m + 1)
+        law = first_block_distribution(m, index)
+        assert counts[0] == 0 and counts.size == m + 1
+        for d in range(1, m + 1):
+            band = bernstein_halfwidth(draws, law[d], 1e-7)
+            assert abs(counts[d] - draws * law[d]) <= band, (m, d)
+
+
+def test_draw_never_lands_on_a_zero_weight_size():
+    logw = np.array([-math.inf, 0.0, -math.inf, -math.inf, math.log(2.0),
+                     -math.inf])
+    u = np.array([0.0, 1e-300, 1.0 / 3.0, 0.5, 1.0 - 2.0 ** -53])
+    assert _draw_block_sizes(logw, u).tolist() == [2, 2, 5, 5, 5]
+    rng = np.random.default_rng(22)
+    for index in (LinearIndex(), LinearShiftIndex(1.0)):
+        for m in (2, 5, 9):
+            row = _first_block_reader(index, m)(m)
+            sizes = _draw_block_sizes(row, np.concatenate(
+                [[0.0, 1.0 - 2.0 ** -53], rng.random(1000)]))
+            assert np.all(np.isfinite(row[sizes - 1]))
+
+
+def test_non_finite_rate_raises_instead_of_drawing():
+    class Broken(GammaIndex):
+        def log_unit_block_rate(self, r, d):
+            if (r, d) == (1, 3):
+                return math.nan
+            return super().log_unit_block_rate(r, d)
+
+    rng = np.random.default_rng(23)
+    for logw in (np.array([0.0, math.nan]), np.array([0.0, math.inf]),
+                 np.full(3, -math.inf)):
+        with pytest.raises(NumericError):
+            _draw_block_sizes(logw, 0.5)
+    with pytest.raises(NumericError):
+        sample_first_block_size(4, Broken(1.0, 1.0), rng)
+    with pytest.raises(NumericError):
+        sample_block_sizes(4, Broken(1.0, 1.0), rng)
+    with pytest.raises(NumericError):
+        block_growth_probe(Broken(1.0, 1.0), [4], 10, rng)
