@@ -70,8 +70,8 @@ class ResourceError(RuntimeError):
 
 
 # Largest n for which all rows of the rate triangle are kept at once
-# (splitting tables; the ranking sampler keeps the same limit).  A table of
-# n rows holds (n + 1)**2 floats: 134 MB at 4096.
+# (splitting tables).  A table of n rows holds (n + 1)**2 floats: 134 MB at
+# 4096.
 MAX_TABLE_ROWS = 4096
 
 
@@ -257,12 +257,6 @@ def _draw_block_sizes(logw: np.ndarray, u):
     return cum.searchsorted(u * cum[-1], side="right") + 1
 
 
-def _check_table_rows(n: int) -> None:
-    if n > MAX_TABLE_ROWS:
-        raise ResourceError(
-            f"{n} rows exceed the {MAX_TABLE_ROWS} that may be kept at once")
-
-
 class CharacteristicIndex:
     """Rate sequence defining a consistent exchangeable survival process.
 
@@ -339,16 +333,18 @@ class CharacteristicIndex:
         m <= n taken in non-increasing order.
 
         A separable family reads any row directly from its closed form.
-        Otherwise only diagonal n is evaluated entry by entry, and
-        remembered; every inner row follows from the one outside it by the
-        additive identity, one vector step per row.
+        Otherwise only diagonal n is evaluated entry by entry, at the first
+        read, and remembered; every inner row follows from the one outside
+        it by the additive identity, one vector step per row.
         """
         if self._log_terms is not None:
             return _separable_reader(*self._log_terms(n))
-        row = self._log_diagonal(n)
+        row = None
 
         def read(m: int) -> np.ndarray:
             nonlocal row
+            if row is None:
+                row = self._log_diagonal(n)
             while len(row) > m:
                 row = np.logaddexp(row[1:], row[:-1])
             return row
@@ -905,7 +901,9 @@ def build_table(index: CharacteristicIndex, max_n: int,
     against the index's own total rates."""
     if max_n < 1:
         raise ParameterError(f"max_n must be >= 1, got {max_n}")
-    _check_table_rows(max_n)
+    if max_n > MAX_TABLE_ROWS:
+        raise ResourceError(f"{max_n} rows exceed the {MAX_TABLE_ROWS} "
+                            "that may be kept at once")
     q = np.full((max_n + 1, max_n + 1), np.nan)
     d = np.arange(1, max_n + 1)
     for logq in index._log_split_rows(max_n):

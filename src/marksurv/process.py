@@ -28,8 +28,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .index import (CharacteristicIndex, ParameterError, _draw_block_sizes,
-                    _first_block_reader)
+from .index import CharacteristicIndex, ParameterError, _first_block_reader
+from .ranking import _block_sweep, sample_first_block_size
 
 __all__ = [
     "Event",
@@ -191,28 +191,6 @@ class TrajectoryBatch:
         return np.bincount(self.rep, minlength=self.reps)
 
 
-def _block_sweep(rule, n: int, reps: int, rng):
-    """Advance ``reps`` block-size chains from n at risk down to none.
-
-    Yields ``(m, at, d)`` for each risk-set size m that some chain visits,
-    from the top down: the chains at m (in ascending order) and the block
-    sizes they draw, all from one first-block row.  ``rule`` is an index or
-    a SplittingTable.
-    """
-    first_block = _first_block_reader(rule, n) if n > 1 else None
-    level = np.full(reps, n)
-    m = n
-    while m > 0:
-        at = (level == m).nonzero()[0]
-        if m == 1:
-            d = np.ones(at.size, dtype=np.int64)
-        else:
-            d = _draw_block_sizes(first_block(m), rng.random(at.size))
-        yield m, at, d
-        level[at] -= d
-        m = int(level.max())
-
-
 def simulate_batch(n: int, index: CharacteristicIndex, reps: int,
                    rng) -> TrajectoryBatch:
     """Simulate ``reps`` uncensored trajectories of n individuals at once.
@@ -229,14 +207,13 @@ def simulate_batch(n: int, index: CharacteristicIndex, reps: int,
     if rng is None:
         raise ParameterError("an explicit random generator is required")
     if reps == 1:
-        # The same steps and draws on plain numbers: at small n the array
-        # bookkeeping of the sweep would cost more than the draws.
+        # The sweep's steps and draws on plain numbers: at n = 1 or 2 its
+        # array bookkeeping would make simulate slower than the draws.
         first_block = _first_block_reader(index, n) if n > 1 else None
         times, sizes = [], []
         m, t = n, 0.0
         while m > 0:
-            d = 1 if m == 1 else int(_draw_block_sizes(first_block(m),
-                                                       rng.random()))
+            d = sample_first_block_size(m, index, rng, rows=first_block)
             t += rng.standard_exponential() / index.total_rate(m)
             times.append(t)
             sizes.append(d)
@@ -290,8 +267,8 @@ def simulate(n: int, index: CharacteristicIndex,
     n_initial = len(alive)
     pending = sorted((censor[i], i) for i in alive if math.isfinite(censor[i]))
     p_next = 0
-    if n_initial > 1:
-        first_block = _first_block_reader(index, n_initial)
+    first_block = _first_block_reader(index, n_initial) if n_initial > 1 \
+        else None
 
     events = []
     t = 0.0
@@ -314,8 +291,7 @@ def simulate(n: int, index: CharacteristicIndex,
             events.append(Event(t, 0, len(ids), censored=tuple(sorted(ids))))
             continue
         t = t + hold
-        d = 1 if m == 1 else int(_draw_block_sizes(first_block(m),
-                                                   rng.random()))
+        d = sample_first_block_size(m, index, rng, rows=first_block)
         order = sorted(alive_set)
         picked = rng.choice(m, size=d, replace=False)
         ids = tuple(sorted(order[i] for i in picked))

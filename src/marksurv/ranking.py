@@ -18,9 +18,8 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .index import (CharacteristicIndex, ParameterError, SplittingTable,
-                    _check_table_rows, _draw_block_sizes,
-                    _first_block_log_rows, _first_block_reader)
-from .process import _block_sweep, simulate_batch
+                    _draw_block_sizes, _first_block_log_rows,
+                    _first_block_reader)
 
 __all__ = [
     "OrderedPartition",
@@ -162,7 +161,6 @@ def sample_rankings(n: int, rule: Rule, rng, reps: int) -> list:
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    _check_table_rows(n)
     if reps < 1:
         return []
     steps = [(at, d) for _, at, d in _block_sweep(rule, n, reps, rng)]
@@ -180,20 +178,50 @@ def sample_ranking(n: int, rule: Rule, rng) -> OrderedPartition:
     return sample_rankings(n, rule, rng, 1)[0]
 
 
-def sample_first_block_size(m: int, index: CharacteristicIndex, rng) -> int:
+def sample_first_block_size(m: int, rule: Rule, rng, size=None, *,
+                            rows=None):
     """Draw the size of the next failure block out of m at risk: one
-    inverse-CDF draw from the first-block row for m."""
+    inverse-CDF draw from the first-block row for m.
+
+    With ``size`` the draws are that many independent sizes, as an array.
+    ``rows``, a reader from ``_first_block_reader(rule, n)`` with n >= m,
+    serves a chain of draws at non-increasing m without rebuilding rows.
+    """
     if m < 1:
         raise ParameterError("m must be >= 1")
     if m == 1:
-        return 1
-    return int(_draw_block_sizes(_first_block_reader(index, m)(m),
-                                 rng.random()))
+        return 1 if size is None else np.ones(size, dtype=np.int64)
+    if rows is None:
+        rows = _first_block_reader(rule, m)
+    d = _draw_block_sizes(rows(m), rng.random(size))
+    return int(d) if size is None else d
+
+
+def _block_sweep(rule: Rule, n: int, reps: int, rng):
+    """Advance ``reps`` block-size chains from n at risk down to none.
+
+    Yields ``(m, at, d)`` for each risk-set size m that some chain visits,
+    from the top down: the chains at m (in ascending order) and the block
+    sizes they draw, all from one first-block row.
+    """
+    if n < 1:
+        raise ParameterError("n must be >= 1")
+    if reps < 1:
+        raise ParameterError("reps must be >= 1")
+    first_block = _first_block_reader(rule, n) if n > 1 else None
+    level = np.full(reps, n)
+    m = n
+    while m > 0:
+        at = (level == m).nonzero()[0]
+        d = sample_first_block_size(m, rule, rng, at.size, rows=first_block)
+        yield m, at, d
+        level[at] -= d
+        m = int(level.max())
 
 
 def sample_block_sizes(n: int, index: CharacteristicIndex, rng) -> list:
     """Draw the ordered block sizes of a random partial ranking."""
-    return simulate_batch(n, index, 1, rng).size.tolist()
+    return [int(d[0]) for _, _, d in _block_sweep(index, n, 1, rng)]
 
 
 def expected_blocks(n: int, rule: Rule) -> float:
@@ -227,7 +255,8 @@ def block_growth_probe(index: CharacteristicIndex, n_list: Sequence[int],
     """Monte Carlo block-count means with standard errors, one row per n."""
     rows = []
     for n in n_list:
-        counts = simulate_batch(n, index, reps, rng).num_blocks.astype(float)
+        at = [at for _, at, _ in _block_sweep(index, n, reps, rng)]
+        counts = np.bincount(np.concatenate(at), minlength=reps).astype(float)
         rows.append(BlockGrowthRow(
             n=int(n),
             mean_blocks=float(counts.mean()),

@@ -16,7 +16,7 @@ from marksurv.index import (MAX_TABLE_ROWS, BetaSplitIndex,
                             levy_from_dislocation, normalization_defect,
                             weak_continuity_defect)
 from marksurv.process import simulate
-from marksurv.ranking import expected_blocks, sample_rankings
+from marksurv.ranking import expected_blocks
 
 mp.mp.dps = 50
 
@@ -380,8 +380,6 @@ def test_table_above_row_cap_evaluates_nothing():
     ix = Untouchable(1.0, 1.0)
     with pytest.raises(ResourceError):
         build_table(ix, MAX_TABLE_ROWS + 1)
-    with pytest.raises(ResourceError):
-        sample_rankings(MAX_TABLE_ROWS + 1, ix, np.random.default_rng(0), 1)
 
 
 # ---------------------------------------------------------------------------

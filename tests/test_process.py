@@ -13,7 +13,8 @@ from marksurv.process import (CensoringPlan, Event, RiskSetTrajectory,
                               residual_trajectory, sample_next, simulate,
                               simulate_batch, simulate_seeded,
                               trajectory_from_csv, trajectory_to_csv,
-                              transform_times, _block_sweep)
+                              transform_times)
+from marksurv.ranking import _block_sweep, expected_blocks
 
 H11 = HarmonicIndex(1.0, 1.0)
 
@@ -143,6 +144,19 @@ def test_batch_columns_describe_whole_trajectories():
     assert np.array_equal(np.bincount(batch.rep, weights=batch.size),
                           np.full(200, 30.0))
     assert batch.num_blocks.sum() == len(batch.rep)
+
+
+def test_power_distinct_count_mean_matches_exact():
+    # The law behind the CLI's power(0.9) band: whatever the seed, the mean
+    # distinct count lies within 5 standard errors of the exact 129.2 but
+    # for a chance near 6e-7.
+    reps = 20000
+    counts = simulate_batch(200, PowerIndex(0.9), reps,
+                            make_rng(21)).num_blocks
+    se = counts.std(ddof=1) / math.sqrt(reps)
+    exact = expected_blocks(200, PowerIndex(0.9))
+    assert exact == pytest.approx(129.2, abs=0.05)
+    assert abs(counts.mean() - exact) < 5.0 * se
 
 
 @pytest.mark.parametrize("index", [H11, GammaIndex(1.0, 2.0),

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from marksurv.index import (BetaSplitIndex, GammaIndex, GeometricIndex,
-                            HarmonicIndex, LinearIndex, LinearShiftIndex,
-                            NumericError, ParameterError, PowerIndex,
+from marksurv.index import (MAX_TABLE_ROWS, BetaSplitIndex, GammaIndex,
+                            GeometricIndex, HarmonicIndex, LinearIndex,
+                            LinearShiftIndex, NumericError, ParameterError,
+                            PowerIndex,
                             _draw_block_sizes, _first_block_reader,
                             build_table)
 from marksurv.ranking import (OrderedPartition, bell, block_growth_probe,
@@ -99,6 +100,14 @@ def test_sample_ranking_trivial_and_linear():
     lin = build_table(LinearIndex(), 5)
     for p in sample_rankings(5, lin, rng, 100):
         assert p.sizes == (1,) * 5
+
+
+def test_sample_rankings_has_no_row_cap():
+    # The sweep keeps one first-block row at a time, so the cap on
+    # splitting tables does not apply.
+    n = MAX_TABLE_ROWS + 1
+    p = sample_ranking(n, HarmonicIndex(1.0, 1.0), np.random.default_rng(6))
+    assert p.n == n
 
 
 def test_sample_ranking_two_particles():
