@@ -24,8 +24,7 @@ from .datasets import DataError, load_dataset
 from .index import (NumericError, ParameterError, ResourceError,
                     index_from_spec)
 from .inference import (empirical_bayes_curve, fit_exponential, fit_mle,
-                        fit_moment, kaplan_meier, profile_interval,
-                        risk_trajectory)
+                        fit_moment, kaplan_meier, profile_interval)
 from .process import simulate, trajectory_to_csv
 
 EXIT_OK = 0
@@ -152,7 +151,6 @@ def _print_fit_summary(payload: dict) -> None:
 def cmd_predict(args) -> int:
     data = load_dataset(args.data)
     grid = _parse_grid(args.grid)
-    traj = risk_trajectory(data)
     km = kaplan_meier(data)
     expo = fit_exponential(data)
     curves = {}

@@ -3,14 +3,9 @@
 from __future__ import annotations
 
 from .index import ParameterError
-from .inference import Dataset
+from .inference import DataError, Dataset
 
 __all__ = ["DataError", "GEHAN_6MP", "load_dataset", "parse_dataset_text"]
-
-
-class DataError(ValueError):
-    """Input data missing, empty, or malformed."""
-
 
 # Remission times in weeks for the 6-MP arm of the Gehan (1965) leukemia
 # trial: 21 patients, 9 observed failures, 12 right-censored.

@@ -305,6 +305,14 @@ class CharacteristicIndex:
         q = self.unit_block_rate(r, d) / self.unit_total_rate(r + d)
         return min(max(q, 0.0), 1.0)
 
+    def _log_rates(self, r: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """log unit_block_rate(r[i], d[i]) for 1-d integer arrays r and d.
+        By default one ``log_unit_block_rate`` call per entry; families with
+        a closed form or an array rule answer in one pass."""
+        return np.array([self.log_unit_block_rate(a, b)
+                         for a, b in zip(r.tolist(), d.tolist())],
+                        dtype=float)
+
     def _log_difference(self, r: int, d: int) -> float:
         """log of the signed d-th forward difference of the unit total rate
         at r: the alternating sum where it is short and loses little to
@@ -426,6 +434,53 @@ class HarmonicIndex(CharacteristicIndex):
 # Scaling probes for the gamma integrand in its rescaled variable.
 _GAMMA_PROBES = tuple(np.geomspace(1e-8, 200.0, 40).tolist()) + (1.0,)
 
+# The gamma array rule integrates the same integrand in u = log v, where it
+# is smooth, peaks at u = 0 and decays at least exponentially on both sides.
+# A coarse grid (step 0.5, through 0) brackets where the integrand exceeds
+# exp(-_GAMMA_DROP) times its peak; _GAMMA_NODES equally spaced nodes across
+# each bracket give the trapezoid rule, and every other node the rule at
+# twice the step.  Rates are computed _GAMMA_CHUNK at a time, so the work
+# arrays stay near a megabyte whatever the number asked.
+_GAMMA_COARSE = np.linspace(-48.0, 24.0, 145)
+_GAMMA_NODES = 257
+_GAMMA_DROP = 40.0
+_GAMMA_CHUNK = 128
+
+
+def _gamma_trapezoid(a: np.ndarray, d: np.ndarray):
+    """Gamma block rates for a = rho + r and d >= 2 (1-d arrays), as
+    ``(log_peak, value, err)``: the log rate is log_peak + log(value), where
+    value is the integral relative to the peak and err the gap between the
+    trapezoid rules at step h and 2h.  An entry whose bracket is not closed
+    inside the coarse grid gets err = inf."""
+    a, d = a[:, None], d[:, None]
+    scale = np.log1p(d / a)
+    rate = a * scale
+    base = np.expm1(-scale)
+
+    def log_rel(u):
+        """log of the integrand at u less its peak, free of cancellation."""
+        return -rate * np.expm1(u) + d * np.log(np.expm1(-scale * np.exp(u))
+                                                / base)
+
+    with np.errstate(over="ignore", under="ignore", divide="ignore",
+                     invalid="ignore"):
+        above = log_rel(_GAMMA_COARSE) > -_GAMMA_DROP
+        top = len(_GAMMA_COARSE) - 1
+        first = above.argmax(axis=1)
+        last = top - above[:, ::-1].argmax(axis=1)
+        lo = _GAMMA_COARSE[np.maximum(first - 1, 0)]
+        step = (_GAMMA_COARSE[np.minimum(last + 1, top)] - lo) \
+            / (_GAMMA_NODES - 1)
+        f = np.exp(log_rel(lo[:, None]
+                           + step[:, None] * np.arange(_GAMMA_NODES)))
+    ends = 0.5 * (f[:, 0] + f[:, -1])
+    value = step * (f.sum(axis=1) - ends)
+    err = np.abs(value - 2.0 * step * (f[:, ::2].sum(axis=1) - ends))
+    err[(first == 0) | (last == top)] = np.inf
+    log_peak = -rate[:, 0] + d[:, 0] * np.log(-base[:, 0])
+    return log_peak, value, err
+
 
 @dataclass(frozen=True, repr=False)
 class GammaIndex(CharacteristicIndex):
@@ -453,6 +508,29 @@ class GammaIndex(CharacteristicIndex):
 
     def unit_block_rate(self, r: int, d: int) -> float:
         return math.exp(self.log_unit_block_rate(r, d))
+
+    def _log_rates(self, r: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Every requested rate in one array pass: d = 1 in closed form,
+        log log(1 + 1 / (rho + r)); larger blocks by the trapezoid rule of
+        ``_gamma_trapezoid``.  An entry whose error estimate exceeds the
+        tolerance asked of the scalar quadrature is recomputed by
+        ``_log_rate_quad``, which checks its own convergence."""
+        a = self.rho + r.astype(float)
+        dd = d.astype(float)
+        out = np.log(np.log1p(1.0 / a))
+        redo = []
+        big = np.flatnonzero(dd > 1)
+        for lo in range(0, big.size, _GAMMA_CHUNK):
+            at = big[lo:lo + _GAMMA_CHUNK]
+            log_peak, value, err = _gamma_trapezoid(a[at], dd[at])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out[at] = log_peak + np.log(value)
+            ok = err <= np.maximum(_QUAD_KW["epsabs"],
+                                   _QUAD_KW["epsrel"] * value)
+            redo.extend(at[~(ok & np.isfinite(out[at]))].tolist())
+        for i in redo:
+            out[i] = self._log_rate_quad(int(r[i]), int(d[i]))
+        return out
 
     def _log_rate_quad(self, r: int, d: int) -> float:
         a = self.rho + r
@@ -524,6 +602,9 @@ class GeometricIndex(CharacteristicIndex):
 
     def log_unit_block_rate(self, r: int, d: int) -> float:
         _check_rd(r, d)
+        return r * math.log(self.alpha) + d * math.log1p(-self.alpha)
+
+    def _log_rates(self, r: np.ndarray, d: np.ndarray) -> np.ndarray:
         return r * math.log(self.alpha) + d * math.log1p(-self.alpha)
 
     def unit_block_rate(self, r: int, d: int) -> float:
@@ -651,6 +732,28 @@ def _finite_probe_values(log_f, xs):
     return out
 
 
+# Probes of an integrand on (0, 1), crowded towards both ends.
+_UNIT_PROBES = np.concatenate([np.geomspace(1e-9, 0.5, 12),
+                               1.0 - np.geomspace(1e-9, 0.5, 12)])
+
+
+def _density_integral(density, log_g, lo: float, hi: float, probes) -> float:
+    """Integral of exp(log_g(x)) * density(x) over (lo, hi).  Where the
+    density raises or is not positive the integrand is zero; with no finite
+    probe value the integral is 0."""
+    def log_f(x: float) -> float:
+        try:
+            v = density(x)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            return -math.inf
+        if not v > 0.0:
+            return -math.inf
+        return log_g(x) + math.log(v)
+
+    xs = _finite_probe_values(log_f, probes)
+    return math.exp(_log_quad(log_f, lo, hi, xs)) if xs else 0.0
+
+
 @dataclass(frozen=True)
 class DislocationMeasure:
     """Measure on [0, 1) entering the integral representation of a
@@ -687,22 +790,9 @@ class DislocationMeasure:
         """Integral of x**r * (1-x)**d against the measure."""
         total = sum(m * x ** r * (1.0 - x) ** d for x, m in self.atoms)
         if self.density is not None:
-            p = self.density
-
-            def log_f(x: float) -> float:
-                try:
-                    v = p(x)
-                except (ValueError, ZeroDivisionError, OverflowError):
-                    return -math.inf
-                if not v > 0.0:
-                    return -math.inf
-                return r * math.log(x) + d * math.log1p(-x) + math.log(v)
-
-            xs = _finite_probe_values(
-                log_f, np.concatenate([np.geomspace(1e-9, 0.5, 12),
-                                       1.0 - np.geomspace(1e-9, 0.5, 12)]))
-            if xs:
-                total += math.exp(_log_quad(log_f, 0.0, 1.0, xs))
+            total += _density_integral(
+                self.density, lambda x: r * math.log(x) + d * math.log1p(-x),
+                0.0, 1.0, _UNIT_PROBES)
         return total
 
     def survival_moment(self, n: int) -> float:
@@ -712,22 +802,9 @@ class DislocationMeasure:
         total = sum(m * -math.expm1(n * math.log(x)) if x > 0.0 else m
                     for x, m in self.atoms)
         if self.density is not None:
-            p = self.density
-
-            def log_f(x: float) -> float:
-                try:
-                    v = p(x)
-                except (ValueError, ZeroDivisionError, OverflowError):
-                    return -math.inf
-                if not v > 0.0:
-                    return -math.inf
-                return math.log(-math.expm1(n * math.log(x))) + math.log(v)
-
-            xs = _finite_probe_values(
-                log_f, np.concatenate([np.geomspace(1e-9, 0.5, 12),
-                                       1.0 - np.geomspace(1e-9, 0.5, 12)]))
-            if xs:
-                total += math.exp(_log_quad(log_f, 0.0, 1.0, xs))
+            total += _density_integral(
+                self.density, lambda x: math.log(-math.expm1(n * math.log(x))),
+                0.0, 1.0, _UNIT_PROBES)
         return total
 
     def block_integral(self, r: int, d: int) -> float:
@@ -771,20 +848,9 @@ class LevyMeasure:
         total += sum(m if math.isinf(z) else m * -math.expm1(-z * t)
                      for z, m in self.atoms)
         if self.density is not None:
-            w = self.density
-
-            def log_f(z: float) -> float:
-                try:
-                    v = w(z)
-                except (ValueError, ZeroDivisionError, OverflowError):
-                    return -math.inf
-                if not v > 0.0:
-                    return -math.inf
-                return _log1mexp(z * t) + math.log(v)
-
-            zs = _finite_probe_values(log_f, np.geomspace(1e-9, 300.0, 40))
-            if zs:
-                total += math.exp(_log_quad(log_f, 0.0, np.inf, zs))
+            total += _density_integral(
+                self.density, lambda z: _log1mexp(z * t), 0.0, np.inf,
+                np.geomspace(1e-9, 300.0, 40))
         return total
 
 

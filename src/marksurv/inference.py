@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,7 +24,9 @@ from .index import (CharacteristicIndex, GammaIndex, HarmonicIndex,
 from .process import Event, RiskSetTrajectory, predictive_survival
 
 __all__ = [
+    "DataError",
     "Dataset",
+    "TrajectorySummary",
     "SufficientStats",
     "FitResult",
     "KaplanMeier",
@@ -61,6 +64,10 @@ def family_index(family: str, rho: float, nu: float = 1.0) -> CharacteristicInde
     return FAMILIES[family](rho, nu)
 
 
+class DataError(ValueError):
+    """Input data missing, empty, or malformed."""
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Event records: a positive time and a failure flag per individual."""
@@ -93,6 +100,11 @@ class Dataset:
     def n_failures(self) -> int:
         return sum(self.failed)
 
+    @cached_property
+    def summary(self) -> "TrajectorySummary":
+        """The records' trajectory as columns, built once per dataset."""
+        return TrajectorySummary.of(risk_trajectory(self))
+
 
 def risk_trajectory(data: Dataset) -> RiskSetTrajectory:
     """Group records into a trajectory.  Ties are exact-value equality, and
@@ -108,6 +120,50 @@ def risk_trajectory(data: Dataset) -> RiskSetTrajectory:
     return RiskSetTrajectory(data.n, events)
 
 
+@dataclass(frozen=True, eq=False)
+class TrajectorySummary:
+    """A trajectory as the columns every likelihood reads.
+
+    One entry per event: the length of the segment ending at it and the
+    risk-set size over that segment.  One entry per failure block (distinct
+    failure time): its time, the survivors r it leaves and its size d.
+    """
+
+    trajectory: RiskSetTrajectory
+    span: np.ndarray
+    at_risk: np.ndarray
+    fail_time: np.ndarray
+    r: np.ndarray
+    d: np.ndarray
+    total_risk_time: float
+
+    @classmethod
+    def of(cls, traj: RiskSetTrajectory) -> "TrajectorySummary":
+        times = np.array([e.time for e in traj.events])
+        fails = np.array([e.n_failures for e in traj.events], dtype=np.intp)
+        gone = np.array([e.n_failures + e.n_censored for e in traj.events],
+                        dtype=np.intp)
+        at_risk = traj.n_initial - np.concatenate([[0], np.cumsum(gone)])[:-1]
+        span = np.diff(times, prepend=0.0)
+        blocks = fails > 0
+        # Summed in event order, as a running total would be; it may
+        # overflow, which only the fits that divide by it check.
+        risk_time = sum(m * t for m, t in zip(at_risk.tolist(),
+                                              span.tolist()))
+        return cls(trajectory=traj, span=span, at_risk=at_risk,
+                   fail_time=times[blocks], r=(at_risk - fails)[blocks],
+                   d=fails[blocks], total_risk_time=risk_time)
+
+    @property
+    def k(self) -> int:
+        """Number of distinct failure times."""
+        return len(self.d)
+
+    @property
+    def n_deaths(self) -> int:
+        return int(self.d.sum())
+
+
 @dataclass(frozen=True)
 class SufficientStats:
     """Sufficient summary at fixed rho: distinct failure times, integrated
@@ -119,69 +175,83 @@ class SufficientStats:
     n_deaths: int
 
 
-def sufficient_stats(data: Dataset, family: str, rho: float) -> SufficientStats:
-    traj = risk_trajectory(data)
-    return _stats_from_trajectory(traj, family_index(family, rho))
-
-
-def _stats_from_trajectory(traj: RiskSetTrajectory,
-                           index: CharacteristicIndex) -> SufficientStats:
-    unit_integral = 0.0
-    risk_time = 0.0
-    for t0, t1, m in traj.segments():
-        unit_integral += index.unit_total_rate(m) * (t1 - t0)
-        risk_time += m * (t1 - t0)
-    return SufficientStats(
-        num_failure_times=traj.num_failure_times,
-        unit_rate_integral=unit_integral,
-        total_risk_time=risk_time,
-        n_deaths=traj.n_deaths,
-    )
-
-
-def _block_log_rate_sum(traj: RiskSetTrajectory,
+def _unit_rate_integral(summary: TrajectorySummary,
                         index: CharacteristicIndex) -> float:
-    total = 0.0
-    alive = traj.n_initial
-    for e in traj.events:
-        if e.n_failures > 0:
-            total += index.log_unit_block_rate(alive - e.n_failures,
-                                               e.n_failures)
-        alive -= e.n_failures + e.n_censored
+    """U: the unit total rate integrated along the trajectory."""
+    total = sum(index.unit_total_rate(m) * t for m, t in
+                zip(summary.at_risk.tolist(), summary.span.tolist()))
+    if not math.isfinite(total):
+        raise DataError("integrated failure rate overflows; rescale the times")
     return total
+
+
+def _risk_time(summary: TrajectorySummary) -> float:
+    """The total time at risk, for the fits that divide by it."""
+    if not math.isfinite(summary.total_risk_time):
+        raise DataError("total time at risk overflows; rescale the times")
+    return summary.total_risk_time
+
+
+def _rate_sums(data: Dataset, family: str, rho: float):
+    """(U, S) at rho: the integrated unit rate and the sum of the log unit
+    block rates of the failure blocks, from one rate call (summed in event
+    order, as a running total would be).  The log likelihood at scale nu
+    is k log nu - nu U + S."""
+    summary = data.summary
+    index = family_index(family, rho)
+    return (_unit_rate_integral(summary, index),
+            sum(index._log_rates(summary.r, summary.d).tolist()))
+
+
+def _loglik_from_sums(k: int, nu: float, sums) -> float:
+    unit_integral, log_rate_sum = sums
+    return k * math.log(nu) - nu * unit_integral + log_rate_sum
+
+
+def _profile_from_sums(k: int, sums) -> float:
+    unit_integral, log_rate_sum = sums
+    return k * math.log(k / unit_integral) - k + log_rate_sum
+
+
+def sufficient_stats(data: Dataset, family: str, rho: float) -> SufficientStats:
+    summary = data.summary
+    return SufficientStats(
+        num_failure_times=summary.k,
+        unit_rate_integral=_unit_rate_integral(summary,
+                                               family_index(family, rho)),
+        total_risk_time=summary.total_risk_time,
+        n_deaths=summary.n_deaths,
+    )
 
 
 def loglik(data: Dataset, family: str, rho: float, nu: float) -> float:
     """Exact censoring-aware log likelihood at (rho, nu)."""
     if not (nu > 0.0):
         raise ParameterError(f"nu must be positive, got {nu}")
-    traj = risk_trajectory(data)
-    index = family_index(family, rho)
-    ss = _stats_from_trajectory(traj, index)
-    return (ss.num_failure_times * math.log(nu)
-            - nu * ss.unit_rate_integral
-            + _block_log_rate_sum(traj, index))
+    return _loglik_from_sums(data.summary.k, nu,
+                             _rate_sums(data, family, rho))
+
+
+def _nu_hat(k: int, unit_integral: float) -> float:
+    if k == 0:
+        raise ParameterError("scale estimation needs at least one failure")
+    return k / unit_integral
 
 
 def mle_nu_given_rho(data: Dataset, family: str, rho: float) -> float:
     """Closed-form scale estimate: distinct failure times over the
     integrated unit rate."""
-    ss = sufficient_stats(data, family, rho)
-    if ss.num_failure_times == 0:
-        raise ParameterError("scale estimation needs at least one failure")
-    return ss.num_failure_times / ss.unit_rate_integral
+    summary = data.summary
+    return _nu_hat(summary.k, _unit_rate_integral(
+        summary, family_index(family, rho)))
 
 
 def profile_loglik(data: Dataset, family: str, rho: float) -> float:
     """Log likelihood with the scale parameter maximized out."""
-    traj = risk_trajectory(data)
-    index = family_index(family, rho)
-    ss = _stats_from_trajectory(traj, index)
-    k = ss.num_failure_times
+    k = data.summary.k
     if k == 0:
         raise ParameterError("profiling needs at least one failure")
-    return (k * math.log(k / ss.unit_rate_integral) - k
-            + _block_log_rate_sum(traj, index))
+    return _profile_from_sums(k, _rate_sums(data, family, rho))
 
 
 @dataclass(frozen=True)
@@ -258,8 +328,19 @@ def _hessian_2d(f: Callable[[np.ndarray], float], x: np.ndarray,
 
 
 def _standard_errors(data: Dataset, family: str, rho: float, nu: float):
+    """Standard errors of (log rho, log nu) from the numeric Hessian.
+
+    The nine points of the Hessian share three values of rho, and nu enters
+    the log likelihood in closed form, so (U, S) is evaluated once per rho.
+    """
+    k = data.summary.k
+    sums = {}
+
     def f(x: np.ndarray) -> float:
-        return loglik(data, family, math.exp(x[0]), math.exp(x[1]))
+        at = math.exp(x[0])
+        if at not in sums:
+            sums[at] = _rate_sums(data, family, at)
+        return _loglik_from_sums(k, math.exp(x[1]), sums[at])
 
     hess = _hessian_2d(f, np.array([math.log(rho), math.log(nu)]))
     try:
@@ -269,6 +350,21 @@ def _standard_errors(data: Dataset, family: str, rho: float, nu: float):
     except np.linalg.LinAlgError:
         se_log_rho = se_log_nu = math.nan
     return se_log_rho, se_log_nu
+
+
+def _fit_at(data: Dataset, family: str, method: str, rho: float,
+            **extra) -> FitResult:
+    """Scale, log likelihood and standard errors at the estimated rho; the
+    scale and the log likelihood from one evaluation of (U, S) there."""
+    k = data.summary.k
+    sums = _rate_sums(data, family, rho)
+    nu = _nu_hat(k, sums[0])
+    se_log_rho, se_log_nu = _standard_errors(data, family, rho, nu)
+    return FitResult(
+        family=family, method=method, rho=rho, nu=nu,
+        loglik=_loglik_from_sums(k, nu, sums),
+        se_rho=rho * se_log_rho, se_nu=nu * se_log_nu,
+        se_log_rho=se_log_rho, se_log_nu=se_log_nu, **extra)
 
 
 def fit_mle(data: Dataset, family: str,
@@ -285,15 +381,16 @@ def fit_mle(data: Dataset, family: str,
         raise ParameterError("fitting needs at least one failure")
     if fix_rho is not None:
         rho = float(fix_rho)
-        nu = mle_nu_given_rho(data, family, rho)
-        k = sufficient_stats(data, family, rho).num_failure_times
+        k = data.summary.k
+        sums = _rate_sums(data, family, rho)
+        nu = _nu_hat(k, sums[0])
         se_log_nu = 1.0 / math.sqrt(k)
         return FitResult(
             family=family, method="mle", rho=rho, nu=nu,
-            loglik=loglik(data, family, rho, nu),
+            loglik=_loglik_from_sums(k, nu, sums),
             se_rho=0.0, se_nu=nu * se_log_nu,
             se_log_rho=0.0, se_log_nu=se_log_nu,
-            profile=((rho, profile_loglik(data, family, rho)),),
+            profile=((rho, _profile_from_sums(k, sums)),),
             fixed_rho=True)
 
     if rho_grid is None:
@@ -309,16 +406,10 @@ def fit_mle(data: Dataset, family: str,
     hi = grid[min(best + 1, len(grid) - 1)]
     log_rho = _golden_max(
         lambda g: profile_loglik(data, family, math.exp(g)), lo, hi)
-    rho = math.exp(log_rho)
-    nu = mle_nu_given_rho(data, family, rho)
-    se_log_rho, se_log_nu = _standard_errors(data, family, rho, nu)
-    return FitResult(
-        family=family, method="mle", rho=rho, nu=nu,
-        loglik=loglik(data, family, rho, nu),
-        se_rho=rho * se_log_rho, se_nu=nu * se_log_nu,
-        se_log_rho=se_log_rho, se_log_nu=se_log_nu,
-        profile=tuple((math.exp(g), v) for g, v in zip(grid, values)),
-        boundary_warning=boundary)
+    return _fit_at(data, family, "mle", math.exp(log_rho),
+                   profile=tuple((math.exp(g), v)
+                                 for g, v in zip(grid, values)),
+                   boundary_warning=boundary)
 
 
 def fit_moment(data: Dataset, family: str, tol: float = 1e-8,
@@ -328,15 +419,14 @@ def fit_moment(data: Dataset, family: str, tol: float = 1e-8,
     per-individual rate times total risk time."""
     if data.n_failures == 0:
         raise ParameterError("fitting needs at least one failure")
-    traj = risk_trajectory(data)
-    deaths = traj.n_deaths
-    if traj.num_failure_times == deaths:
+    summary = data.summary
+    deaths = summary.n_deaths
+    if summary.k == deaths:
         # without tied failures the death-count equation is only satisfied
         # in the iid-exponential limit, so no finite estimate exists
         raise ParameterError(
             "moment estimation needs at least one tied failure time")
-    risk_time = sum(m * (t1 - t0) for t0, t1, m in traj.segments())
-    target = deaths / risk_time
+    target = deaths / _risk_time(summary)
 
     log_rho = 0.0
     for _ in range(max_iter):
@@ -353,14 +443,7 @@ def fit_moment(data: Dataset, family: str, tol: float = 1e-8,
         log_rho = new_log_rho
     else:
         raise NumericError("moment iteration failed to converge")
-    rho = math.exp(log_rho)
-    nu = mle_nu_given_rho(data, family, rho)
-    se_log_rho, se_log_nu = _standard_errors(data, family, rho, nu)
-    return FitResult(
-        family=family, method="moment", rho=rho, nu=nu,
-        loglik=loglik(data, family, rho, nu),
-        se_rho=rho * se_log_rho, se_nu=nu * se_log_nu,
-        se_log_rho=se_log_rho, se_log_nu=se_log_nu)
+    return _fit_at(data, family, "moment", math.exp(log_rho))
 
 
 def profile_interval(fit: FitResult, level: float = 0.95):
@@ -416,18 +499,10 @@ class KaplanMeier:
 
 
 def kaplan_meier(data: Dataset) -> KaplanMeier:
-    traj = risk_trajectory(data)
-    times = []
-    surv = []
-    cur = 1.0
-    alive = traj.n_initial
-    for e in traj.events:
-        if e.n_failures > 0:
-            cur *= (alive - e.n_failures) / alive
-            times.append(e.time)
-            surv.append(cur)
-        alive -= e.n_failures + e.n_censored
-    return KaplanMeier(times=np.asarray(times), survival=np.asarray(surv))
+    summary = data.summary
+    r, d = summary.r, summary.d
+    return KaplanMeier(times=summary.fail_time,
+                       survival=np.cumprod(r / (r + d)))
 
 
 @dataclass(frozen=True)
@@ -440,11 +515,11 @@ class ExponentialFit:
 
 
 def fit_exponential(data: Dataset) -> ExponentialFit:
-    traj = risk_trajectory(data)
-    deaths = traj.n_deaths
+    summary = data.summary
+    deaths = summary.n_deaths
     if deaths == 0:
         raise ParameterError("fitting needs at least one failure")
-    risk_time = sum(m * (t1 - t0) for t0, t1, m in traj.segments())
+    risk_time = _risk_time(summary)
     rate = deaths / risk_time
     return ExponentialFit(rate=rate, mean=risk_time / deaths,
                           loglik=deaths * math.log(rate) - rate * risk_time)
@@ -464,9 +539,8 @@ class EmpiricalBayesCurve:
 def empirical_bayes_curve(data: Dataset, fit: FitResult,
                           t_grid) -> EmpiricalBayesCurve:
     index = family_index(fit.family, fit.rho, fit.nu)
-    traj = risk_trajectory(data)
     grid = np.asarray(t_grid, dtype=float)
-    surv = predictive_survival(grid, traj, index)
+    surv = predictive_survival(grid, data.summary.trajectory, index)
     rate = fit.nu * index.unit_total_rate(1)
     return EmpiricalBayesCurve(grid=grid, survival=np.atleast_1d(surv),
                                marginal_rate=rate, mean_survival=1.0 / rate)

@@ -105,6 +105,34 @@ def test_fit_bad_time_exits_with_data_code(tmp_path, capsys, row):
     assert err.startswith("data error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["fit", "predict"])
+def test_overflowing_time_exits_with_data_code(tmp_path, capsys, command):
+    src = tmp_path / "big.csv"
+    src.write_text("time,status\n1.0,1\n2.0,0\n1e308,1\n")
+    code = run([command, "--data", src, "--out", tmp_path / "x.out"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
+
+
+def test_fit_both_builds_the_trajectory_once(tmp_path, capsys, monkeypatch):
+    from marksurv import inference
+    builds = []
+    build = inference.risk_trajectory
+
+    def counted(data):
+        builds.append(data)
+        return build(data)
+
+    monkeypatch.setattr(inference, "risk_trajectory", counted)
+    src = tmp_path / "gehan.csv"
+    src.write_text("time,status\n" + "".join(
+        f"{t},{int(f)}\n" for t, f in zip(GEHAN_6MP.times, GEHAN_6MP.failed)))
+    assert run(["fit", "--data", src, "--family", "gamma", "--method",
+                "both", "--out", tmp_path / "fit.json"]) == 0
+    assert len(builds) == 1
+
+
 def test_negative_seed_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["simulate", "-n", 3, "--seed", -1, "--out", tmp_path / "t.csv"])

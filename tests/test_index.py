@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from marksurv import index as index_mod
@@ -492,6 +494,119 @@ def test_parameter_domains():
         LinearShiftIndex(-0.5)
     with pytest.raises(ParameterError):
         index_from_spec("nonsense")
+
+
+# ---------------------------------------------------------------------------
+# many rates in one array call
+
+
+def _family(name, rho, alpha, beta):
+    return {
+        "harmonic": lambda: HarmonicIndex(1.0, rho),
+        "gamma": lambda: GammaIndex(1.0, rho),
+        "power": lambda: PowerIndex(alpha),
+        "geometric": lambda: GeometricIndex(alpha),
+        "linear": lambda: LinearIndex(),
+        "linear-shift": lambda: LinearShiftIndex(rho),
+        "beta": lambda: BetaSplitIndex(rho, beta),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", ["harmonic", "gamma", "power", "geometric",
+                                  "linear", "linear-shift", "beta"])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(log_rho=st.floats(-3.0, 8.0), alpha=st.floats(0.05, 0.95),
+       beta=st.floats(-0.9, 3.0),
+       pairs=st.lists(st.tuples(st.integers(0, 1500), st.integers(1, 600)),
+                      min_size=1, max_size=6))
+def test_array_rates_match_entrywise_rates(name, log_rho, alpha, beta, pairs):
+    ix = _family(name, 10.0 ** log_rho, alpha, beta)
+    r = np.array([p[0] for p in pairs])
+    d = np.array([p[1] for p in pairs])
+    got = ix._log_rates(r, d)
+    direct = np.array([ix.log_unit_block_rate(int(a), int(b))
+                       for a, b in pairs])
+    zero = np.isneginf(direct)
+    assert got.shape == r.shape
+    assert np.array_equal(np.isneginf(got), zero)
+    assert np.all(np.abs(got[~zero] - direct[~zero]) <= 5e-12)
+
+
+def mp_gamma_log_rate(rho, r, d, approx):
+    """log lambda(r, d) of the gamma family by the alternating sum of
+    log(1 + n / rho) in mpmath, with the digits the sum loses (estimated
+    from ``approx``, the float value under test) plus 30."""
+    lost = (d * math.log10(2.0) + (math.log(math.log1p((r + d) / rho))
+                                   - approx) / math.log(10.0))
+    with mp.workdps(30 + int(lost)):
+        rho_mp = mp.mpf(rho)
+        total, comb = mp.mpf(0), mp.mpf(1)
+        for j in range(d + 1):
+            total += (-1) ** (j + 1) * comb * mp.log1p((r + j) / rho_mp)
+            comb = comb * (d - j) / (j + 1)
+        return float(mp.log(total))
+
+
+# The corners d = 600 at rho >= 1e5 need 1,800-3,600 digits (3-11 s each in
+# pure-Python mpmath), so the large-rho cases stop at d = 300 and 200.
+GAMMA_MP_CASES = {
+    1e-3: [(0, 2), (1500, 2), (0, 600), (1500, 300), (37, 45), (700, 120)],
+    1.0: [(0, 2), (1500, 2), (0, 600), (1500, 300), (37, 45), (700, 120)],
+    10.58: [(0, 2), (1500, 2), (0, 600), (1500, 300), (37, 45), (700, 120)],
+    1e5: [(0, 2), (1500, 2), (0, 200), (1500, 300), (37, 45), (700, 120)],
+    1e8: [(0, 2), (1500, 2), (0, 200), (37, 45), (700, 120)],
+}
+
+
+@pytest.mark.parametrize("rho", sorted(GAMMA_MP_CASES))
+def test_gamma_array_rule_matches_high_precision_differences(rho):
+    pairs = GAMMA_MP_CASES[rho]
+    got = GammaIndex(1.0, rho)._log_rates(np.array([p[0] for p in pairs]),
+                                          np.array([p[1] for p in pairs]))
+    for (r, d), v in zip(pairs, got):
+        assert abs(v - mp_gamma_log_rate(rho, r, d, v)) <= 1e-12
+
+
+def _plant_failed_estimates(monkeypatch, sizes):
+    """Make the gamma array rule report an infinite error estimate for every
+    block whose size is in ``sizes``."""
+    rule = index_mod._gamma_trapezoid
+
+    def planted(a, d):
+        log_peak, value, err = rule(a, d)
+        return log_peak, value, np.where(np.isin(d, sizes), np.inf, err)
+
+    monkeypatch.setattr(index_mod, "_gamma_trapezoid", planted)
+
+
+def test_gamma_failed_estimates_go_to_scalar_quadrature(monkeypatch):
+    ix = GammaIndex(1.0, 3.0)
+    r = np.array([0, 5, 12, 40, 3, 7, 900])
+    d = np.array([2, 9, 1, 30, 4, 2, 9])
+    calls = []
+    quad = GammaIndex._log_rate_quad
+
+    def recorded(self, r, d):
+        calls.append((r, d))
+        return quad(self, r, d)
+
+    monkeypatch.setattr(GammaIndex, "_log_rate_quad", recorded)
+    clean = ix._log_rates(r, d)
+    assert calls == []
+    _plant_failed_estimates(monkeypatch, [9, 30])
+    got = ix._log_rates(r, d)
+    assert calls == [(5, 9), (40, 30), (900, 9)]
+    redone = np.isin(d, [9, 30])
+    assert np.array_equal(got[~redone], clean[~redone])
+    assert np.all(np.abs(got[redone] - clean[redone]) <= 5e-12)
+
+
+def test_gamma_fallback_that_does_not_converge_raises(monkeypatch):
+    _plant_failed_estimates(monkeypatch, [7])
+    monkeypatch.setattr(index_mod.integrate, "quad",
+                        lambda *args, **kwargs: (1.0, 1.0, {}))
+    with pytest.raises(NumericError, match="did not converge"):
+        GammaIndex(1.0, 2.0)._log_rates(np.array([3, 4]), np.array([2, 7]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from marksurv import inference
 from marksurv.index import GammaIndex, HarmonicIndex, ParameterError
 from marksurv.inference import (Dataset, empirical_bayes_curve,
                                 fit_exponential, fit_mle, fit_moment,
@@ -147,6 +148,78 @@ def test_fit_mle_standard_errors_match_reported(gehan):
     assert fit.se_nu == pytest.approx(0.44, rel=0.25)
     # the conditional information for the log scale is the distinct count
     assert fit.se_log_nu >= 1.0 / math.sqrt(7.0) - 1e-9
+
+
+@pytest.mark.parametrize("family", ["harmonic", "gamma"])
+def test_standard_errors_take_three_rhos_and_match_nine_logliks(
+        gehan, family, monkeypatch):
+    rho, nu = 15.0, 0.5
+    x = np.array([math.log(rho), math.log(nu)])
+    hess = inference._hessian_2d(
+        lambda y: loglik(gehan, family, math.exp(y[0]), math.exp(y[1])), x)
+    cov = np.linalg.inv(-hess)
+    expect = (math.sqrt(cov[0, 0]), math.sqrt(cov[1, 1]))
+    rhos = []
+    sums = inference._rate_sums
+
+    def recorded(data, fam, at):
+        rhos.append(at)
+        return sums(data, fam, at)
+
+    monkeypatch.setattr(inference, "_rate_sums", recorded)
+    assert inference._standard_errors(gehan, family, rho, nu) == expect
+    assert len(rhos) == len(set(rhos)) == 3
+
+
+def test_fit_reuses_the_sums_at_its_rho(monkeypatch):
+    data = Dataset.from_records([(1.0, 1), (1.0, 1), (2.0, 0), (3.0, 1),
+                                 (5.0, 1), (8.0, 0)])
+    rhos = []
+    sums = inference._rate_sums
+
+    def recorded(data, fam, at):
+        rhos.append(at)
+        return sums(data, fam, at)
+
+    monkeypatch.setattr(inference, "_rate_sums", recorded)
+    fit = fit_moment(data, "gamma")
+    # one evaluation for the scale and the log likelihood, then one per
+    # distinct rho of the Hessian
+    assert rhos[0] == fit.rho and len(rhos) == 4
+    assert fit.nu == mle_nu_given_rho(data, "gamma", fit.rho)
+    assert fit.loglik == loglik(data, "gamma", fit.rho, fit.nu)
+
+
+def test_summary_columns_describe_the_trajectory(gehan):
+    summary = gehan.summary
+    assert summary is gehan.summary
+    traj = risk_trajectory(gehan)
+    assert summary.trajectory == traj
+    assert summary.span.tolist() == [
+        t1 - t0 for t0, t1, _ in traj.segments()]
+    assert summary.at_risk.tolist() == [m for _, _, m in traj.segments()]
+    blocks = [(e.time, m - e.n_failures, e.n_failures)
+              for (_, _, m), e in zip(traj.segments(), traj.events)
+              if e.n_failures]
+    assert list(zip(summary.fail_time.tolist(), summary.r.tolist(),
+                    summary.d.tolist())) == blocks
+    assert summary.k == traj.num_failure_times == 7
+    assert summary.n_deaths == traj.n_deaths == 9
+    assert summary.total_risk_time == sum(
+        m * (t1 - t0) for t0, t1, m in traj.segments())
+
+
+def test_overflowing_risk_time_fails_only_the_fits_that_use_it():
+    # 2 at risk over [0, 1e308] overflows the total time at risk
+    data = Dataset.from_records([(1e308, 1), (1e308, 1), (1.5e308, 1)])
+    assert data.summary.total_risk_time == math.inf
+    km = kaplan_meier(data)
+    assert km.times.tolist() == [1e308, 1.5e308]
+    assert km.survival.tolist() == [1.0 / 3.0, 0.0]
+    with pytest.raises(inference.DataError, match="time at risk"):
+        fit_exponential(data)
+    with pytest.raises(inference.DataError, match="time at risk"):
+        fit_moment(data, "harmonic")
 
 
 def test_fit_mle_fixed_rho(gehan):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from marksurv import process
 from marksurv.index import (BetaSplitIndex, GammaIndex, GeometricIndex,
                             HarmonicIndex, LinearIndex, LinearShiftIndex,
                             ParameterError, PowerIndex)
@@ -258,6 +259,101 @@ def test_log_density_censoring_enters_integral_only():
     expect = (log_density(base, H11)
               + H11.total_rate(2) - H11.total_rate(3))
     assert got == pytest.approx(expect, rel=1e-12)
+
+
+def _long_history(seed):
+    """A trajectory of 48 events, most of them failure blocks (some tied),
+    the rest censorings, with censorings also sharing failure times."""
+    rng = make_rng(seed)
+    sizes = rng.choice([0, 1, 1, 2, 3], size=48)
+    censored = np.where(sizes == 0, 1, rng.choice([0, 0, 1], size=48))
+    times = np.cumsum(rng.exponential(0.05, size=48))
+    return RiskSetTrajectory(int(sizes.sum() + censored.sum() + 5), tuple(
+        Event(float(t), int(d), int(c))
+        for t, d, c in zip(times, sizes, censored)))
+
+
+def _count_array_calls(monkeypatch, index):
+    """Record the length of each ``_log_rates`` call on arrays of block
+    sizes (the beta family also calls it on scalars for single rates)."""
+    calls = []
+    cls = type(index)
+    rates = cls._log_rates
+
+    def counted(self, r, d):
+        if isinstance(d, np.ndarray):
+            calls.append(len(d))
+        return rates(self, r, d)
+
+    monkeypatch.setattr(cls, "_log_rates", counted)
+    return calls
+
+
+def _per_event_log_density(traj, index):
+    expect, alive, t_prev = 0.0, traj.n_initial, 0.0
+    for e in traj.events:
+        expect -= index.total_rate(alive) * (e.time - t_prev)
+        if e.n_failures:
+            expect += math.log(index.block_rate(alive - e.n_failures,
+                                                e.n_failures))
+        alive -= e.n_failures + e.n_censored
+        t_prev = e.time
+    return expect
+
+
+LONG = [HarmonicIndex(1.3, 2.0), GammaIndex(0.7, 3.0), PowerIndex(0.6),
+        BetaSplitIndex(2.0, 0.5), GeometricIndex(0.4)]
+
+
+@pytest.mark.parametrize("index", LONG, ids=lambda ix: ix.describe())
+def test_long_trajectory_density_takes_rates_from_one_call(index,
+                                                           monkeypatch):
+    traj = _long_history(31)
+    assert len(traj.events) >= process._FEW_EVENTS
+    expect = _per_event_log_density(traj, index)
+    calls = _count_array_calls(monkeypatch, index)
+    assert log_density(traj, index) == pytest.approx(expect, rel=1e-12)
+    assert calls == [traj.num_failure_times]
+
+
+@pytest.mark.parametrize("index", LONG, ids=lambda ix: ix.describe())
+def test_short_trajectory_density_takes_rates_per_event(index, monkeypatch):
+    full = _long_history(31)
+    traj = RiskSetTrajectory(full.n_initial, full.events[:12])
+    assert traj.num_failure_times > 0
+    assert len(traj.events) < process._FEW_EVENTS
+    expect = _per_event_log_density(traj, index)
+    calls = _count_array_calls(monkeypatch, index)
+    assert log_density(traj, index) == pytest.approx(expect, rel=1e-12)
+    assert calls == []
+
+
+@pytest.mark.parametrize("index", LONG, ids=lambda ix: ix.describe())
+def test_predictive_takes_rates_from_one_call(index, monkeypatch):
+    full = _long_history(41)
+    calls = _count_array_calls(monkeypatch, index)
+    for hist in (full, RiskSetTrajectory(full.n_initial, full.events[:3])):
+        # log survival just after each event, and the hazard that follows
+        knots, log_s, haz = [0.0], [0.0], [index.block_rate(hist.n_initial, 1)]
+        alive = hist.n_initial
+        for e in hist.events:
+            step = log_s[-1] - haz[-1] * (e.time - knots[-1])
+            if e.n_failures:
+                r = alive - e.n_failures
+                step += math.log(index.block_rate(r + 1, e.n_failures)
+                                 / index.block_rate(r, e.n_failures))
+            alive -= e.n_failures + e.n_censored
+            knots.append(e.time)
+            log_s.append(step)
+            haz.append(index.block_rate(alive, 1))
+        grid = np.linspace(0.0, 1.5 * hist.last_time, 97)
+        at = np.searchsorted(knots, grid, side="right") - 1
+        expect = [math.exp(log_s[i] - haz[i] * (t - knots[i]))
+                  for i, t in zip(at, grid)]
+        calls.clear()
+        np.testing.assert_allclose(predictive_survival(grid, hist, index),
+                                   expect, rtol=1e-11)
+        assert calls == [2 * hist.num_failure_times + len(hist.events) + 1]
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
