@@ -16,15 +16,17 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import ranking
 from .datasets import DataError, load_dataset
-from .index import (NumericError, ParameterError, ResourceError,
+from .index import (FAMILIES, NumericError, ParameterError, ResourceError,
                     index_from_spec)
-from .inference import (empirical_bayes_curve, fit_exponential, fit_mle,
-                        fit_moment, kaplan_meier, profile_interval)
+from .inference import (FITTED_FAMILIES, empirical_bayes_curve,
+                        fit_exponential, fit_mle, fit_moment, kaplan_meier,
+                        profile_interval)
 from .process import simulate, trajectory_to_csv
 
 EXIT_OK = 0
@@ -39,29 +41,27 @@ def _fmt(x) -> str:
     return f"{x:.6g}"
 
 
-def _out_path(path: str) -> str:
-    base = os.environ.get(OUTDIR_ENV)
-    if base and not os.path.isabs(path):
-        os.makedirs(base, exist_ok=True)
-        return os.path.join(base, path)
-    return path
+# Index parameters the commands take as options, with their defaults; a
+# family is offered where they cover all of its parameters.  fit takes the
+# first two only.
+_INDEX_OPTIONS = {"rho": 1.0, "nu": 1.0, "alpha": 0.5, "beta": 0.5}
 
 
 def _index_from_args(args) -> object:
-    family = args.family
-    if family in ("harmonic", "gamma"):
-        return index_from_spec(family, nu=args.nu, rho=args.rho)
-    if family == "power":
-        return index_from_spec(family, alpha=args.alpha)
-    if family == "geometric":
-        return index_from_spec(family, alpha=args.alpha)
-    if family == "linear":
-        return index_from_spec(family)
-    if family == "linear-shift":
-        return index_from_spec(family, rho=args.rho)
-    if family == "beta":
-        return index_from_spec(family, rho=args.rho, beta=args.beta)
-    raise ParameterError(f"unknown family {family!r}")
+    return index_from_spec(args.family, **{
+        f.name: getattr(args, f.name) for f in fields(FAMILIES[args.family])})
+
+
+def _write(path: str, text: str) -> str:
+    """Write the text to the path, taken under $MARKSURV_OUTDIR when that is
+    set and the path is relative; return the path written."""
+    base = os.environ.get(OUTDIR_ENV)
+    if base and not os.path.isabs(path):
+        os.makedirs(base, exist_ok=True)
+        path = os.path.join(base, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
 
 
 def _seed(text: str) -> int:
@@ -80,8 +80,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         a, b, step = (float(p) for p in spec.split(":"))
     except ValueError as exc:
         raise ParameterError(f"grid must be a:b:step, got {spec!r}") from exc
-    if step <= 0 or b < a:
-        raise ParameterError(f"bad grid {spec!r}")
+    if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
+        raise ParameterError(f"grid needs finite a <= b, step > 0: {spec!r}")
     return np.arange(a, b + 0.5 * step, step)
 
 
@@ -89,10 +89,7 @@ def cmd_simulate(args) -> int:
     index = _index_from_args(args)
     rng = np.random.default_rng(args.seed)
     traj = simulate(args.n, index, rng=rng)
-    text = trajectory_to_csv(traj)
-    path = _out_path(args.out)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    path = _write(args.out, trajectory_to_csv(traj))
     print(f"n={traj.n_initial} events={len(traj.events)} "
           f"distinct_failure_times={traj.num_failure_times}")
     print(f"wrote {path}")
@@ -119,10 +116,7 @@ def cmd_fit(args) -> int:
                 fit = fit_moment(data, args.family)
                 entry = fit.to_dict()
             payload[method] = entry
-    path = _out_path(args.out)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_round_floats(payload), fh, indent=2)
-        fh.write("\n")
+    path = _write(args.out, json.dumps(_round_floats(payload), indent=2) + "\n")
     _print_fit_summary(payload)
     print(f"wrote {path}")
     return EXIT_OK
@@ -168,9 +162,7 @@ def cmd_predict(args) -> int:
             _fmt(km_vals[i]),
             _fmt(math.exp(-expo.rate * t)),
         ]))
-    path = _out_path(args.out)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    path = _write(args.out, "\n".join(lines) + "\n")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -178,21 +170,15 @@ def cmd_predict(args) -> int:
 def cmd_blocks(args) -> int:
     index = _index_from_args(args)
     rng = np.random.default_rng(args.seed)
-    n_list = [int(tok) for tok in args.n_list.split(",") if tok]
+    try:
+        n_list = [int(tok) for tok in args.n_list.split(",") if tok]
+    except ValueError as exc:
+        raise ParameterError(
+            f"n list must be integers, got {args.n_list!r}") from exc
     if not n_list:
         raise ParameterError("empty n list")
     rows = ranking.block_growth_probe(index, n_list, args.reps, rng)
-    label = index.describe()
-    name, _, params = label.partition("(")
-    lines = ["n,mean_k,se,reps,expected_k,family,params"]
-    for row in rows:
-        exact = ranking.expected_blocks(row.n, index)
-        lines.append(f"{row.n},{_fmt(row.mean_blocks)},{_fmt(row.se)},"
-                     f"{row.reps},{_fmt(exact)},{name},"
-                     f"\"{params.rstrip(')')}\"")
-    path = _out_path(args.out)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    path = _write(args.out, ranking.block_growth_csv(rows, index))
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -205,15 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_family(p, fit_only=False):
-        choices = (["harmonic", "gamma", "exponential"] if fit_only else
-                   ["harmonic", "gamma", "power", "beta", "geometric",
-                    "linear", "linear-shift"])
+        choices = ([*FITTED_FAMILIES, "exponential"] if fit_only else
+                   [name for name, cls in FAMILIES.items()
+                    if all(f.name in _INDEX_OPTIONS for f in fields(cls))])
         p.add_argument("--family", default="harmonic", choices=choices)
-        p.add_argument("--rho", type=float, default=1.0)
-        p.add_argument("--nu", type=float, default=1.0)
-        if not fit_only:
-            p.add_argument("--alpha", type=float, default=0.5)
-            p.add_argument("--beta", type=float, default=0.5)
+        for name in list(_INDEX_OPTIONS)[:2 if fit_only else None]:
+            p.add_argument(f"--{name}", type=float,
+                           default=_INDEX_OPTIONS[name])
 
     p = sub.add_parser("simulate", help="simulate one trajectory")
     add_family(p)

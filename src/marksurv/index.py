@@ -53,6 +53,7 @@ __all__ = [
     "difference_positivity_defect",
     "levy_from_dislocation",
     "dislocation_from_levy",
+    "FAMILIES",
     "index_from_spec",
 ]
 
@@ -377,7 +378,8 @@ class CharacteristicIndex:
 
     def describe(self) -> str:
         """Family name plus named parameters, as a small text record."""
-        name = _FAMILY_NAMES.get(type(self), type(self).__name__)
+        name = next((k for k, cls in FAMILIES.items() if cls is type(self)),
+                    type(self).__name__)
         try:
             params = ", ".join(
                 f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
@@ -399,10 +401,10 @@ class HarmonicIndex(CharacteristicIndex):
     rho: float = 1.0
 
     def __post_init__(self):
-        if not (self.nu > 0.0):
-            raise ParameterError(f"nu must be positive, got {self.nu}")
-        if not (self.rho > 0.0):
-            raise ParameterError(f"rho must be positive, got {self.rho}")
+        if not (0.0 < self.nu < math.inf):
+            raise ParameterError(f"nu must be finite and > 0, got {self.nu}")
+        if not (0.0 < self.rho < math.inf):
+            raise ParameterError(f"rho must be finite and > 0, got {self.rho}")
 
     @property
     def scale(self) -> float:
@@ -490,10 +492,10 @@ class GammaIndex(CharacteristicIndex):
     rho: float = 1.0
 
     def __post_init__(self):
-        if not (self.nu > 0.0):
-            raise ParameterError(f"nu must be positive, got {self.nu}")
-        if not (self.rho > 0.0):
-            raise ParameterError(f"rho must be positive, got {self.rho}")
+        if not (0.0 < self.nu < math.inf):
+            raise ParameterError(f"nu must be finite and > 0, got {self.nu}")
+        if not (0.0 < self.rho < math.inf):
+            raise ParameterError(f"rho must be finite and > 0, got {self.rho}")
 
     @property
     def scale(self) -> float:
@@ -641,8 +643,8 @@ class LinearShiftIndex(CharacteristicIndex):
     rho: float = 1.0
 
     def __post_init__(self):
-        if not (self.rho >= 0.0):
-            raise ParameterError(f"rho must be >= 0, got {self.rho}")
+        if not (0.0 <= self.rho < math.inf):
+            raise ParameterError(f"rho must be finite and >= 0, got {self.rho}")
 
     def unit_total_rate(self, n: int) -> float:
         return n + self.rho
@@ -666,10 +668,11 @@ class BetaSplitIndex(CharacteristicIndex):
     beta: float = 0.5
 
     def __post_init__(self):
-        if not (self.rho > 0.0):
-            raise ParameterError(f"rho must be positive, got {self.rho}")
-        if not (self.beta > -1.0):
-            raise ParameterError(f"beta must exceed -1, got {self.beta}")
+        if not (0.0 < self.rho < math.inf):
+            raise ParameterError(f"rho must be finite and > 0, got {self.rho}")
+        if not (-1.0 < self.beta < math.inf):
+            raise ParameterError(
+                f"beta must be finite and > -1, got {self.beta}")
 
     def _log_rates(self, r, d):
         """log B(rho + r, beta + d), elementwise; at large rho through
@@ -861,8 +864,8 @@ def levy_from_dislocation(measure: DislocationMeasure,
     A density picks up the Jacobian factor exp(-z); atom masses are carried
     over unchanged (an atom at x = 0 maps to a killing atom at +inf).
     """
-    if not (erosion >= 0.0):
-        raise ParameterError(f"erosion must be >= 0, got {erosion}")
+    if not (0.0 <= erosion < math.inf):
+        raise ParameterError(f"erosion must be finite and >= 0, got {erosion}")
     density = None
     if measure.density is not None:
         p = measure.density
@@ -899,8 +902,9 @@ class MeasureIndex(CharacteristicIndex):
     def __post_init__(self):
         if self.dislocation is None:
             raise ParameterError("a dislocation measure is required")
-        if not (self.erosion >= 0.0):
-            raise ParameterError(f"erosion must be >= 0, got {self.erosion}")
+        if not (0.0 <= self.erosion < math.inf):
+            raise ParameterError(
+                f"erosion must be finite and >= 0, got {self.erosion}")
 
     def unit_total_rate(self, n: int) -> float:
         return self.dislocation.survival_moment(n) + n * self.erosion
@@ -1031,30 +1035,22 @@ def difference_positivity_defect(index: CharacteristicIndex,
     return worst
 
 
-_FAMILY_NAMES = {
-    HarmonicIndex: "harmonic",
-    GammaIndex: "gamma",
-    PowerIndex: "power",
-    GeometricIndex: "geometric",
-    LinearIndex: "linear",
-    LinearShiftIndex: "linear-shift",
-    BetaSplitIndex: "beta",
-    MeasureIndex: "measure",
+# The family registry: every name a user may give maps to its class, and the
+# class's dataclass fields are the family's parameters.
+FAMILIES = {
+    "harmonic": HarmonicIndex,
+    "gamma": GammaIndex,
+    "power": PowerIndex,
+    "geometric": GeometricIndex,
+    "linear": LinearIndex,
+    "linear-shift": LinearShiftIndex,
+    "beta": BetaSplitIndex,
+    "measure": MeasureIndex,
 }
 
 
 def index_from_spec(family: str, **params) -> CharacteristicIndex:
     """Build an index from a family name and named parameters."""
-    table = {
-        "harmonic": HarmonicIndex,
-        "gamma": GammaIndex,
-        "power": PowerIndex,
-        "geometric": GeometricIndex,
-        "linear": LinearIndex,
-        "linear-shift": LinearShiftIndex,
-        "beta": BetaSplitIndex,
-        "measure": MeasureIndex,
-    }
-    if family not in table:
+    if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}")
-    return table[family](**params)
+    return FAMILIES[family](**params)

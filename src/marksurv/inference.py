@@ -12,27 +12,28 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import optimize, special
 
-from .index import (CharacteristicIndex, GammaIndex, HarmonicIndex,
-                    NumericError, ParameterError)
-from .process import Event, RiskSetTrajectory, predictive_survival
+from .index import (FAMILIES, CharacteristicIndex, NumericError,
+                    ParameterError, index_from_spec)
+from .process import (Event, RiskSetTrajectory, _log_density_sums,
+                      _log_likelihood, _unit_rate_integral,
+                      predictive_survival)
 
 __all__ = [
     "DataError",
     "Dataset",
-    "TrajectorySummary",
     "SufficientStats",
     "FitResult",
     "KaplanMeier",
     "EmpiricalBayesCurve",
     "ExponentialFit",
-    "FAMILIES",
+    "FITTED_FAMILIES",
     "family_index",
     "risk_trajectory",
     "sufficient_stats",
@@ -47,10 +48,10 @@ __all__ = [
     "empirical_bayes_curve",
 ]
 
-FAMILIES = {
-    "harmonic": lambda rho, nu=1.0: HarmonicIndex(nu=nu, rho=rho),
-    "gamma": lambda rho, nu=1.0: GammaIndex(nu=nu, rho=rho),
-}
+# The families with total rate nu * Psi_rho(n): those whose parameters are
+# exactly (nu, rho).
+FITTED_FAMILIES = tuple(name for name, cls in FAMILIES.items()
+                        if [f.name for f in fields(cls)] == ["nu", "rho"])
 
 # Default profile grid on log rho; wide because the profile is typically
 # flat far from the origin.
@@ -58,10 +59,10 @@ _PROFILE_GRID = (-3.0, 8.0, 60)
 
 
 def family_index(family: str, rho: float, nu: float = 1.0) -> CharacteristicIndex:
-    if family not in FAMILIES:
-        raise ParameterError(
-            f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
-    return FAMILIES[family](rho, nu)
+    if family not in FITTED_FAMILIES:
+        raise ParameterError(f"unknown family {family!r}; "
+                             f"choose from {sorted(FITTED_FAMILIES)}")
+    return index_from_spec(family, nu=nu, rho=rho)
 
 
 class DataError(ValueError):
@@ -101,9 +102,9 @@ class Dataset:
         return sum(self.failed)
 
     @cached_property
-    def summary(self) -> "TrajectorySummary":
-        """The records' trajectory as columns, built once per dataset."""
-        return TrajectorySummary.of(risk_trajectory(self))
+    def trajectory(self) -> RiskSetTrajectory:
+        """The records' trajectory, built once per dataset."""
+        return risk_trajectory(self)
 
 
 def risk_trajectory(data: Dataset) -> RiskSetTrajectory:
@@ -120,50 +121,6 @@ def risk_trajectory(data: Dataset) -> RiskSetTrajectory:
     return RiskSetTrajectory(data.n, events)
 
 
-@dataclass(frozen=True, eq=False)
-class TrajectorySummary:
-    """A trajectory as the columns every likelihood reads.
-
-    One entry per event: the length of the segment ending at it and the
-    risk-set size over that segment.  One entry per failure block (distinct
-    failure time): its time, the survivors r it leaves and its size d.
-    """
-
-    trajectory: RiskSetTrajectory
-    span: np.ndarray
-    at_risk: np.ndarray
-    fail_time: np.ndarray
-    r: np.ndarray
-    d: np.ndarray
-    total_risk_time: float
-
-    @classmethod
-    def of(cls, traj: RiskSetTrajectory) -> "TrajectorySummary":
-        times = np.array([e.time for e in traj.events])
-        fails = np.array([e.n_failures for e in traj.events], dtype=np.intp)
-        gone = np.array([e.n_failures + e.n_censored for e in traj.events],
-                        dtype=np.intp)
-        at_risk = traj.n_initial - np.concatenate([[0], np.cumsum(gone)])[:-1]
-        span = np.diff(times, prepend=0.0)
-        blocks = fails > 0
-        # Summed in event order, as a running total would be; it may
-        # overflow, which only the fits that divide by it check.
-        risk_time = sum(m * t for m, t in zip(at_risk.tolist(),
-                                              span.tolist()))
-        return cls(trajectory=traj, span=span, at_risk=at_risk,
-                   fail_time=times[blocks], r=(at_risk - fails)[blocks],
-                   d=fails[blocks], total_risk_time=risk_time)
-
-    @property
-    def k(self) -> int:
-        """Number of distinct failure times."""
-        return len(self.d)
-
-    @property
-    def n_deaths(self) -> int:
-        return int(self.d.sum())
-
-
 @dataclass(frozen=True)
 class SufficientStats:
     """Sufficient summary at fixed rho: distinct failure times, integrated
@@ -175,37 +132,31 @@ class SufficientStats:
     n_deaths: int
 
 
-def _unit_rate_integral(summary: TrajectorySummary,
-                        index: CharacteristicIndex) -> float:
-    """U: the unit total rate integrated along the trajectory."""
-    total = sum(index.unit_total_rate(m) * t for m, t in
-                zip(summary.at_risk.tolist(), summary.span.tolist()))
-    if not math.isfinite(total):
+def _finite(unit_integral: float) -> float:
+    """U, checked: it overflows to inf when the times need rescaling."""
+    if not math.isfinite(unit_integral):
         raise DataError("integrated failure rate overflows; rescale the times")
-    return total
+    return unit_integral
 
 
-def _risk_time(summary: TrajectorySummary) -> float:
+def _risk_time(traj: RiskSetTrajectory) -> float:
     """The total time at risk, for the fits that divide by it."""
-    if not math.isfinite(summary.total_risk_time):
+    if not math.isfinite(traj.total_risk_time):
         raise DataError("total time at risk overflows; rescale the times")
-    return summary.total_risk_time
+    return traj.total_risk_time
+
+
+def _unit_integral(data: Dataset, family: str, rho: float) -> float:
+    return _finite(_unit_rate_integral(data.trajectory,
+                                       family_index(family, rho)))
 
 
 def _rate_sums(data: Dataset, family: str, rho: float):
-    """(U, S) at rho: the integrated unit rate and the sum of the log unit
-    block rates of the failure blocks, from one rate call (summed in event
-    order, as a running total would be).  The log likelihood at scale nu
-    is k log nu - nu U + S."""
-    summary = data.summary
-    index = family_index(family, rho)
-    return (_unit_rate_integral(summary, index),
-            sum(index._log_rates(summary.r, summary.d).tolist()))
-
-
-def _loglik_from_sums(k: int, nu: float, sums) -> float:
-    unit_integral, log_rate_sum = sums
-    return k * math.log(nu) - nu * unit_integral + log_rate_sum
+    """(U, S) at rho: the log likelihood at scale nu is k log nu - nu U + S
+    (``process._log_likelihood``)."""
+    unit_integral, log_rate_sum = _log_density_sums(data.trajectory,
+                                                    family_index(family, rho))
+    return _finite(unit_integral), log_rate_sum
 
 
 def _profile_from_sums(k: int, sums) -> float:
@@ -214,22 +165,21 @@ def _profile_from_sums(k: int, sums) -> float:
 
 
 def sufficient_stats(data: Dataset, family: str, rho: float) -> SufficientStats:
-    summary = data.summary
+    traj = data.trajectory
     return SufficientStats(
-        num_failure_times=summary.k,
-        unit_rate_integral=_unit_rate_integral(summary,
-                                               family_index(family, rho)),
-        total_risk_time=summary.total_risk_time,
-        n_deaths=summary.n_deaths,
+        num_failure_times=traj.num_failure_times,
+        unit_rate_integral=_unit_integral(data, family, rho),
+        total_risk_time=traj.total_risk_time,
+        n_deaths=traj.n_deaths,
     )
 
 
 def loglik(data: Dataset, family: str, rho: float, nu: float) -> float:
     """Exact censoring-aware log likelihood at (rho, nu)."""
-    if not (nu > 0.0):
-        raise ParameterError(f"nu must be positive, got {nu}")
-    return _loglik_from_sums(data.summary.k, nu,
-                             _rate_sums(data, family, rho))
+    if not (0.0 < nu < math.inf):
+        raise ParameterError(f"nu must be finite and > 0, got {nu}")
+    return _log_likelihood(data.trajectory.num_failure_times, nu,
+                           _rate_sums(data, family, rho))
 
 
 def _nu_hat(k: int, unit_integral: float) -> float:
@@ -241,14 +191,13 @@ def _nu_hat(k: int, unit_integral: float) -> float:
 def mle_nu_given_rho(data: Dataset, family: str, rho: float) -> float:
     """Closed-form scale estimate: distinct failure times over the
     integrated unit rate."""
-    summary = data.summary
-    return _nu_hat(summary.k, _unit_rate_integral(
-        summary, family_index(family, rho)))
+    return _nu_hat(data.trajectory.num_failure_times,
+                   _unit_integral(data, family, rho))
 
 
 def profile_loglik(data: Dataset, family: str, rho: float) -> float:
     """Log likelihood with the scale parameter maximized out."""
-    k = data.summary.k
+    k = data.trajectory.num_failure_times
     if k == 0:
         raise ParameterError("profiling needs at least one failure")
     return _profile_from_sums(k, _rate_sums(data, family, rho))
@@ -333,14 +282,14 @@ def _standard_errors(data: Dataset, family: str, rho: float, nu: float):
     The nine points of the Hessian share three values of rho, and nu enters
     the log likelihood in closed form, so (U, S) is evaluated once per rho.
     """
-    k = data.summary.k
+    k = data.trajectory.num_failure_times
     sums = {}
 
     def f(x: np.ndarray) -> float:
         at = math.exp(x[0])
         if at not in sums:
             sums[at] = _rate_sums(data, family, at)
-        return _loglik_from_sums(k, math.exp(x[1]), sums[at])
+        return _log_likelihood(k, math.exp(x[1]), sums[at])
 
     hess = _hessian_2d(f, np.array([math.log(rho), math.log(nu)]))
     try:
@@ -356,13 +305,13 @@ def _fit_at(data: Dataset, family: str, method: str, rho: float,
             **extra) -> FitResult:
     """Scale, log likelihood and standard errors at the estimated rho; the
     scale and the log likelihood from one evaluation of (U, S) there."""
-    k = data.summary.k
+    k = data.trajectory.num_failure_times
     sums = _rate_sums(data, family, rho)
     nu = _nu_hat(k, sums[0])
     se_log_rho, se_log_nu = _standard_errors(data, family, rho, nu)
     return FitResult(
         family=family, method=method, rho=rho, nu=nu,
-        loglik=_loglik_from_sums(k, nu, sums),
+        loglik=_log_likelihood(k, nu, sums),
         se_rho=rho * se_log_rho, se_nu=nu * se_log_nu,
         se_log_rho=se_log_rho, se_log_nu=se_log_nu, **extra)
 
@@ -381,13 +330,13 @@ def fit_mle(data: Dataset, family: str,
         raise ParameterError("fitting needs at least one failure")
     if fix_rho is not None:
         rho = float(fix_rho)
-        k = data.summary.k
+        k = data.trajectory.num_failure_times
         sums = _rate_sums(data, family, rho)
         nu = _nu_hat(k, sums[0])
         se_log_nu = 1.0 / math.sqrt(k)
         return FitResult(
             family=family, method="mle", rho=rho, nu=nu,
-            loglik=_loglik_from_sums(k, nu, sums),
+            loglik=_log_likelihood(k, nu, sums),
             se_rho=0.0, se_nu=nu * se_log_nu,
             se_log_rho=0.0, se_log_nu=se_log_nu,
             profile=((rho, _profile_from_sums(k, sums)),),
@@ -419,14 +368,14 @@ def fit_moment(data: Dataset, family: str, tol: float = 1e-8,
     per-individual rate times total risk time."""
     if data.n_failures == 0:
         raise ParameterError("fitting needs at least one failure")
-    summary = data.summary
-    deaths = summary.n_deaths
-    if summary.k == deaths:
+    traj = data.trajectory
+    deaths = traj.n_deaths
+    if traj.num_failure_times == deaths:
         # without tied failures the death-count equation is only satisfied
         # in the iid-exponential limit, so no finite estimate exists
         raise ParameterError(
             "moment estimation needs at least one tied failure time")
-    target = deaths / _risk_time(summary)
+    target = deaths / _risk_time(traj)
 
     log_rho = 0.0
     for _ in range(max_iter):
@@ -499,9 +448,9 @@ class KaplanMeier:
 
 
 def kaplan_meier(data: Dataset) -> KaplanMeier:
-    summary = data.summary
-    r, d = summary.r, summary.d
-    return KaplanMeier(times=summary.fail_time,
+    traj = data.trajectory
+    r, d = traj.r, traj.d
+    return KaplanMeier(times=traj.fail_time,
                        survival=np.cumprod(r / (r + d)))
 
 
@@ -515,11 +464,10 @@ class ExponentialFit:
 
 
 def fit_exponential(data: Dataset) -> ExponentialFit:
-    summary = data.summary
-    deaths = summary.n_deaths
+    deaths = data.n_failures
     if deaths == 0:
         raise ParameterError("fitting needs at least one failure")
-    risk_time = _risk_time(summary)
+    risk_time = _risk_time(data.trajectory)
     rate = deaths / risk_time
     return ExponentialFit(rate=rate, mean=risk_time / deaths,
                           loglik=deaths * math.log(rate) - rate * risk_time)
@@ -540,7 +488,7 @@ def empirical_bayes_curve(data: Dataset, fit: FitResult,
                           t_grid) -> EmpiricalBayesCurve:
     index = family_index(fit.family, fit.rho, fit.nu)
     grid = np.asarray(t_grid, dtype=float)
-    surv = predictive_survival(grid, data.summary.trajectory, index)
+    surv = predictive_survival(grid, data.trajectory, index)
     rate = fit.nu * index.unit_total_rate(1)
     return EmpiricalBayesCurve(grid=grid, survival=np.atleast_1d(surv),
                                marginal_rate=rate, mean_survival=1.0 / rate)

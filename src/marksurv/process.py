@@ -28,7 +28,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .index import CharacteristicIndex, ParameterError, _first_block_reader
+from .index import (CharacteristicIndex, ParameterError, _first_block_reader,
+                    _read_only)
 from .ranking import _block_sweep, sample_first_block_size
 
 __all__ = [
@@ -81,7 +82,14 @@ class Event:
 
 @dataclass(frozen=True)
 class RiskSetTrajectory:
-    """Initial risk-set size plus strictly time-ordered events."""
+    """Initial risk-set size plus strictly time-ordered events.
+
+    The columns every likelihood reads are computed on first use and kept,
+    as read-only arrays: per event, its time, the length of the segment
+    ending at it and the risk-set size over that segment; per failure block
+    (distinct failure time), its time, the survivors r it leaves and its
+    size d.
+    """
 
     n_initial: int
     events: tuple
@@ -101,14 +109,43 @@ class RiskSetTrajectory:
             raise ParameterError("events remove more individuals than exist")
 
     @cached_property
-    def _alive_before(self) -> tuple:
-        """Risk-set size just before each event."""
-        out = []
-        alive = self.n_initial
-        for e in self.events:
-            out.append(alive)
-            alive -= e.n_failures + e.n_censored
-        return tuple(out)
+    def time(self) -> np.ndarray:
+        return _read_only(np.array([e.time for e in self.events]))
+
+    @cached_property
+    def span(self) -> np.ndarray:
+        return _read_only(np.diff(self.time, prepend=0.0))
+
+    @cached_property
+    def at_risk(self) -> np.ndarray:
+        gone = np.array([e.n_failures + e.n_censored for e in self.events],
+                        dtype=np.intp)
+        return _read_only(self.n_initial - (gone.cumsum() - gone))
+
+    @cached_property
+    def total_risk_time(self) -> float:
+        """Time at risk summed over individuals, in event order as a running
+        total would be; it may overflow to inf."""
+        return sum(m * t for m, t in zip(self.at_risk.tolist(),
+                                         self.span.tolist()))
+
+    @cached_property
+    def _blocks(self) -> np.ndarray:
+        """Positions of the events with failures."""
+        return np.flatnonzero([e.n_failures > 0 for e in self.events])
+
+    @cached_property
+    def fail_time(self) -> np.ndarray:
+        return _read_only(self.time[self._blocks])
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        return _read_only(np.array([e.n_failures for e in self.events
+                                    if e.n_failures > 0], dtype=np.intp))
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        return _read_only(self.at_risk[self._blocks] - self.d)
 
     @property
     def n_deaths(self) -> int:
@@ -121,7 +158,7 @@ class RiskSetTrajectory:
     @property
     def num_failure_times(self) -> int:
         """Number of distinct failure times (tied blocks count once)."""
-        return sum(1 for e in self.events if e.n_failures > 0)
+        return len(self.d)
 
     @property
     def last_time(self) -> float:
@@ -165,12 +202,8 @@ class CensoringPlan:
     def __post_init__(self):
         times = tuple(float(c) for c in self.times)
         object.__setattr__(self, "times", times)
-        if any(c < 0.0 for c in times):
-            raise ParameterError("censoring times must be >= 0")
-
-    @classmethod
-    def none(cls, n: int) -> "CensoringPlan":
-        return cls((math.inf,) * n)
+        if not all(c >= 0.0 for c in times):
+            raise ParameterError("censoring times must be >= 0, not NaN")
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,64 +273,41 @@ def simulate(n: int, index: CharacteristicIndex,
              plan: Optional[CensoringPlan] = None, rng=None) -> RiskSetTrajectory:
     """Simulate the trajectory of n individuals under the given index.
 
-    Holding times are exponential at the total rate of the current risk-set
-    size; at each failure epoch the block size is drawn from the first-block
-    law and the failing individuals uniformly among those at risk.
-    Censoring removes individuals at their planned times without a failure
-    event.  Without a plan this is ``simulate_batch`` with one rep, the
-    blocks taking consecutive slices of a random permutation of the ids.
+    The individuals with a planned time above zero run uncensored, as
+    ``simulate_batch`` with one rep, their ids given to the blocks as
+    consecutive slices of a random permutation; then each one is censored
+    at its planned time unless it failed by then.  The processes are
+    consistent, so the individuals still under observation at any time
+    form the same Markov survival process on the smaller risk set, and
+    censoring after the run has the law of censoring during it.
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
     if rng is None:
         raise ParameterError("an explicit random generator is required")
-    if plan is None:
-        batch = simulate_batch(n, index, 1, rng)
-        ids = rng.permutation(n).tolist()
-        events = []
-        for t, d in zip(batch.time.tolist(), batch.size.tolist()):
-            events.append(Event(t, d, 0, failed=tuple(sorted(ids[:d]))))
-            del ids[:d]
-        return RiskSetTrajectory(n, tuple(events))
-    censor = list(plan.times)
+    censor = np.full(n, math.inf) if plan is None else np.array(plan.times)
     if len(censor) != n:
         raise ParameterError("censoring plan length must equal n")
-
-    alive = [i for i in range(n) if censor[i] > 0.0]
-    n_initial = len(alive)
-    pending = sorted((censor[i], i) for i in alive if math.isfinite(censor[i]))
-    p_next = 0
-    first_block = _first_block_reader(index, n_initial) if n_initial > 1 \
-        else None
-
+    alive = np.flatnonzero(censor > 0.0)
+    if alive.size == 0:
+        return RiskSetTrajectory(0, ())
+    batch = simulate_batch(alive.size, index, 1, rng)
+    fail_at = np.empty(alive.size)
+    fail_at[rng.permutation(alive.size)] = np.repeat(batch.time, batch.size)
+    end = np.minimum(fail_at, censor[alive])
+    lost = fail_at > end
+    # by time, failures before censorings, then by id
+    order = np.lexsort((lost, end))
+    end = end[order]
+    lo = [0, *(np.flatnonzero(end[1:] != end[:-1]) + 1).tolist()]
+    end, who, lost = end.tolist(), alive[order].tolist(), lost[order].tolist()
     events = []
-    t = 0.0
-    alive_set = set(alive)
-    while alive_set:
-        m = len(alive_set)
-        hold = rng.exponential(1.0 / index.total_rate(m))
-        while p_next < len(pending) and pending[p_next][1] not in alive_set:
-            p_next += 1
-        next_censor = pending[p_next][0] if p_next < len(pending) else math.inf
-        if t + hold >= next_censor:
-            t = next_censor
-            ids = []
-            while p_next < len(pending) and pending[p_next][0] == t:
-                i = pending[p_next][1]
-                if i in alive_set:
-                    ids.append(i)
-                    alive_set.remove(i)
-                p_next += 1
-            events.append(Event(t, 0, len(ids), censored=tuple(sorted(ids))))
-            continue
-        t = t + hold
-        d = sample_first_block_size(m, index, rng, rows=first_block)
-        order = sorted(alive_set)
-        picked = rng.choice(m, size=d, replace=False)
-        ids = tuple(sorted(order[i] for i in picked))
-        alive_set.difference_update(ids)
-        events.append(Event(t, d, 0, failed=ids))
-    return RiskSetTrajectory(n_initial, tuple(events))
+    for i, j in zip(lo, lo[1:] + [len(who)]):
+        k = bisect.bisect(lost, False, i, j)
+        events.append(Event(end[i], k - i, j - k,
+                            failed=tuple(who[i:k]) or None,
+                            censored=tuple(who[k:j]) or None))
+    return RiskSetTrajectory(alive.size, tuple(events))
 
 
 # Below this many events log_density takes its block rates per event.  Timed
@@ -311,6 +321,28 @@ def simulate(n: int, index: CharacteristicIndex,
 _FEW_EVENTS = 32
 
 
+def _unit_rate_integral(traj: RiskSetTrajectory,
+                        index: CharacteristicIndex) -> float:
+    """U: the unit total rate integrated along the trajectory, summed in
+    event order as a running total would be."""
+    return sum(index.unit_total_rate(m) * t
+               for m, t in zip(traj.at_risk.tolist(), traj.span.tolist()))
+
+
+def _log_density_sums(traj: RiskSetTrajectory, index: CharacteristicIndex):
+    """(U, S): the integrated unit rate and the sum of the log unit block
+    rates of the failure blocks, all of these from one rate call."""
+    return (_unit_rate_integral(traj, index),
+            sum(index._log_rates(traj.r, traj.d).tolist()))
+
+
+def _log_likelihood(k: int, nu: float, sums) -> float:
+    """The log density k log nu - nu U + S of a trajectory with k failure
+    blocks at scale nu, from its (U, S)."""
+    unit_integral, log_rate_sum = sums
+    return k * math.log(nu) - nu * unit_integral + log_rate_sum
+
+
 def log_density(traj: RiskSetTrajectory, index: CharacteristicIndex) -> float:
     """Exact log density of a trajectory: minus the integrated total rate
     plus one block-rate term per failure time.
@@ -321,33 +353,23 @@ def log_density(traj: RiskSetTrajectory, index: CharacteristicIndex) -> float:
     reject the parameter point.  With _FEW_EVENTS events or more the block
     rates come from one rate call.
     """
+    if len(traj.events) >= _FEW_EVENTS:
+        return _log_likelihood(traj.num_failure_times, index.scale,
+                               _log_density_sums(traj, index))
     integral = 0.0
     logprod = 0.0
     log_scale = math.log(index.scale)
-    # (survivors, sizes) of the blocks, when their rates come in one call
-    pending = None if len(traj.events) < _FEW_EVENTS else ([], [])
     alive = traj.n_initial
     t_prev = 0.0
     for e in traj.events:
         integral += index.total_rate(alive) * (e.time - t_prev)
         if e.n_failures > 0:
-            if pending is None:
-                lr = index.log_unit_block_rate(alive - e.n_failures,
-                                               e.n_failures)
-                if lr == -math.inf:
-                    return -math.inf
-                logprod += log_scale + lr
-            else:
-                pending[0].append(alive - e.n_failures)
-                pending[1].append(e.n_failures)
-        alive -= e.n_failures + e.n_censored
-        t_prev = e.time
-    if pending is not None:
-        r, d = map(np.array, pending)
-        for lr in index._log_rates(r, d).tolist():
+            lr = index.log_unit_block_rate(alive - e.n_failures, e.n_failures)
             if lr == -math.inf:
                 return -math.inf
             logprod += log_scale + lr
+        alive -= e.n_failures + e.n_censored
+        t_prev = e.time
     return -integral + logprod
 
 
@@ -359,30 +381,17 @@ def _survival_pieces(history: RiskSetTrajectory, index: CharacteristicIndex):
     lambda(m, 1); a failure block of d leaving r multiplies survival by
     lambda(r + 1, d) / lambda(r, d).  All of these come from one rate call.
     """
-    knots = [0.0]
-    at_risk = []
-    failed_at, survivors, blocks = [], [], []
-    alive = history.n_initial
-    for i, e in enumerate(history.events):
-        at_risk.append(alive)
-        knots.append(e.time)
-        if e.n_failures > 0:
-            failed_at.append(i)
-            survivors.append(alive - e.n_failures)
-            blocks.append(e.n_failures)
-        alive -= e.n_failures + e.n_censored
-    at_risk.append(alive)
-    k = len(blocks)
-    lr = index._log_rates(
-        np.array([s + 1 for s in survivors] + survivors + at_risk),
-        np.array(blocks + blocks + [1] * len(at_risk)))
+    r, d = history.r, history.d
+    at_risk = np.append(history.at_risk, history.final_risk_size)
+    k = len(d)
+    lr = index._log_rates(np.concatenate([r + 1, r, at_risk]),
+                          np.concatenate([d, d, np.ones_like(at_risk)]))
     log_atoms = np.zeros(len(history.events))
-    log_atoms[failed_at] = lr[:k] - lr[k:2 * k]
-    knots = np.asarray(knots)
+    log_atoms[history._blocks] = lr[:k] - lr[k:2 * k]
     haz = index.scale * np.exp(lr[2 * k:])
-    cum_h = np.concatenate([[0.0], np.cumsum(haz[:-1] * np.diff(knots))])
+    cum_h = np.concatenate([[0.0], np.cumsum(haz[:-1] * history.span)])
     cum_atoms = np.concatenate([[0.0], np.cumsum(log_atoms)])
-    return knots, haz, cum_h, cum_atoms
+    return np.append(0.0, history.time), haz, cum_h, cum_atoms
 
 
 def predictive_survival(t, history: RiskSetTrajectory,

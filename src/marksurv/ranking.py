@@ -268,11 +268,12 @@ def block_growth_probe(index: CharacteristicIndex, n_list: Sequence[int],
 
 def block_growth_csv(rows: Sequence[BlockGrowthRow],
                      index: CharacteristicIndex) -> str:
-    """Rows as CSV text with the generating family recorded per line."""
-    label = index.describe()
-    name, _, params = label.partition("(")
-    lines = ["n,mean_k,se,reps,family,params"]
+    """Rows as CSV text, each with the exact mean block count of its n and
+    the generating family; numbers to six significant digits."""
+    name, _, params = index.describe().partition("(")
+    lines = ["n,mean_k,se,reps,expected_k,family,params"]
     for row in rows:
-        lines.append(f"{row.n},{row.mean_blocks:.6g},{row.se:.6g},"
-                     f"{row.reps},{name},\"{params.rstrip(')')}\"")
+        lines.append(f"{row.n},{row.mean_blocks:.6g},{row.se:.6g},{row.reps},"
+                     f"{expected_blocks(row.n, index):.6g},{name},"
+                     f"\"{params.rstrip(')')}\"")
     return "\n".join(lines) + "\n"

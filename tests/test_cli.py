@@ -185,6 +185,27 @@ def test_usage_error_on_bad_grid(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["predict", "--data", "builtin:gehan", "--grid", "0:nan:0.5"], "grid"),
+    (["predict", "--data", "builtin:gehan", "--grid", "0:inf:1"], "grid"),
+    (["predict", "--data", "builtin:gehan", "--grid", "nan:1:0.1"], "grid"),
+    (["predict", "--data", "builtin:gehan", "--grid", "0:1:inf"], "grid"),
+    (["blocks", "--n-list", "5,x", "--seed", 1], "n list"),
+    (["simulate", "--family", "gamma", "--rho", "inf", "-n", 3,
+      "--seed", 1], "rho"),
+    (["simulate", "--nu", "inf", "-n", 3, "--seed", 1], "nu"),
+    (["simulate", "--family", "harmonic", "--rho", "inf", "-n", 3,
+      "--seed", 1], "rho"),
+], ids=["grid end nan", "grid end inf", "grid start nan", "grid step inf",
+        "n list", "gamma rho inf", "nu inf", "harmonic rho inf"])
+def test_non_finite_or_malformed_option_is_a_usage_error(tmp_path, capsys,
+                                                         argv, named):
+    code = run([*argv, "--out", tmp_path / "x.csv"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1
+
+
 def test_outdir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MARKSURV_OUTDIR", str(tmp_path / "outputs"))
     assert run(["simulate", "--family", "linear", "-n", 3, "--seed", 4,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from marksurv import index as index_mod
-from marksurv.index import (MAX_TABLE_ROWS, BetaSplitIndex,
+from marksurv.index import (FAMILIES, MAX_TABLE_ROWS, BetaSplitIndex,
                             DislocationMeasure, GammaIndex, GeometricIndex,
                             HarmonicIndex, LevyMeasure, LinearIndex,
                             LinearShiftIndex, MeasureIndex, NumericError,
@@ -493,7 +494,21 @@ def test_parameter_domains():
     with pytest.raises(ParameterError):
         LinearShiftIndex(-0.5)
     with pytest.raises(ParameterError):
+        levy_from_dislocation(DislocationMeasure(atoms=((0.5, 1.0),)),
+                              math.inf)
+    with pytest.raises(ParameterError):
         index_from_spec("nonsense")
+
+
+@pytest.mark.parametrize("family, param", [
+    (name, f.name) for name, cls in FAMILIES.items() for f in fields(cls)
+    if f.type in (float, "float")])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_parameters_must_be_finite(family, param, value):
+    extra = ({"dislocation": DislocationMeasure(atoms=((0.5, 1.0),))}
+             if family == "measure" else {})
+    with pytest.raises(ParameterError, match=param):
+        index_from_spec(family, **extra, **{param: value})
 
 
 # ---------------------------------------------------------------------------

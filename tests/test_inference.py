@@ -104,6 +104,12 @@ def test_loglik_concave_in_log_scale(gehan):
         assert (fu - 2 * f0 + fd) / h ** 2 < 0.0
 
 
+@pytest.mark.parametrize("nu", [0.0, math.inf, math.nan])
+def test_loglik_rejects_a_scale_that_is_not_finite_and_positive(gehan, nu):
+    with pytest.raises(ParameterError, match="nu"):
+        loglik(gehan, "harmonic", 1.0, nu)
+
+
 def test_loglik_finite_for_singleton_data_near_iid_limit():
     d = Dataset(times=(1.0, 2.0, 3.5), failed=(True, True, True))
     val = loglik(d, "harmonic", 1e8, 1e8 / 3.0)
@@ -191,28 +197,27 @@ def test_fit_reuses_the_sums_at_its_rho(monkeypatch):
 
 
 def test_summary_columns_describe_the_trajectory(gehan):
-    summary = gehan.summary
-    assert summary is gehan.summary
-    traj = risk_trajectory(gehan)
-    assert summary.trajectory == traj
-    assert summary.span.tolist() == [
+    traj = gehan.trajectory
+    assert traj is gehan.trajectory
+    assert traj == risk_trajectory(gehan)
+    assert traj.span.tolist() == [
         t1 - t0 for t0, t1, _ in traj.segments()]
-    assert summary.at_risk.tolist() == [m for _, _, m in traj.segments()]
+    assert traj.at_risk.tolist() == [m for _, _, m in traj.segments()]
     blocks = [(e.time, m - e.n_failures, e.n_failures)
               for (_, _, m), e in zip(traj.segments(), traj.events)
               if e.n_failures]
-    assert list(zip(summary.fail_time.tolist(), summary.r.tolist(),
-                    summary.d.tolist())) == blocks
-    assert summary.k == traj.num_failure_times == 7
-    assert summary.n_deaths == traj.n_deaths == 9
-    assert summary.total_risk_time == sum(
+    assert list(zip(traj.fail_time.tolist(), traj.r.tolist(),
+                    traj.d.tolist())) == blocks
+    assert len(traj.d) == traj.num_failure_times == 7
+    assert traj.d.sum() == traj.n_deaths == 9
+    assert traj.total_risk_time == sum(
         m * (t1 - t0) for t0, t1, m in traj.segments())
 
 
 def test_overflowing_risk_time_fails_only_the_fits_that_use_it():
     # 2 at risk over [0, 1e308] overflows the total time at risk
     data = Dataset.from_records([(1e308, 1), (1e308, 1), (1.5e308, 1)])
-    assert data.summary.total_risk_time == math.inf
+    assert data.trajectory.total_risk_time == math.inf
     km = kaplan_meier(data)
     assert km.times.tolist() == [1e308, 1.5e308]
     assert km.survival.tolist() == [1.0 / 3.0, 0.0]

@@ -15,7 +15,8 @@ from marksurv.process import (CensoringPlan, Event, RiskSetTrajectory,
                               simulate_batch, simulate_seeded,
                               trajectory_from_csv, trajectory_to_csv,
                               transform_times)
-from marksurv.ranking import _block_sweep, expected_blocks
+from marksurv.ranking import (_block_sweep, expected_blocks,
+                              first_block_distribution)
 
 H11 = HarmonicIndex(1.0, 1.0)
 
@@ -110,6 +111,39 @@ def test_censoring_plan_produces_censored_events():
     for e in traj.events:
         if e.n_censored:
             assert e.time in (0.5, 1.5)
+
+
+def test_censoring_plan_rejects_negative_or_nan_times():
+    for times in ((math.nan, 1.0, math.inf), (-1.0, math.inf)):
+        with pytest.raises(ParameterError):
+            CensoringPlan(times)
+
+
+def test_censored_law_matches_the_process_on_the_smaller_risk_set():
+    # Individual 0 is censored at 0.4.  No failure comes before 0.4 with
+    # probability exp(-psi(3) 0.4); then the two left run as the process on
+    # two: an Exp(psi(2)) holding time and a first block drawn from the row
+    # for 2, where psi(3) = 11/6, psi(2) = 3/2 and P(d = 1) = 2/3 for H11.
+    assert first_block_distribution(2, H11)[1] == pytest.approx(2.0 / 3.0)
+    psi3, psi2, p1 = 11.0 / 6.0, 1.5, 2.0 / 3.0
+    rng = make_rng(22)
+    reps = 4000
+    plan = CensoringPlan((0.4, math.inf, math.inf))
+    holds, singles = [], 0
+    for _ in range(reps):
+        traj = simulate(3, H11, plan, rng=rng)
+        first = traj.events[0]
+        if first.n_failures:
+            assert first.time < 0.4
+            continue
+        assert (first.time, first.censored) == (0.4, (0,))
+        holds.append(traj.events[1].time - 0.4)
+        singles += traj.events[1].n_failures == 1
+    quiet = len(holds)
+    p = math.exp(-psi3 * 0.4)
+    assert abs(quiet - reps * p) < 4.0 * math.sqrt(reps * p * (1.0 - p))
+    assert stats.kstest(holds, "expon", args=(0.0, 1.0 / psi2)).pvalue > 1e-3
+    assert abs(singles - quiet * p1) < 4.0 * math.sqrt(quiet * p1 * (1 - p1))
 
 
 def test_deletion_consistency():

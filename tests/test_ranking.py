@@ -276,7 +276,7 @@ def test_block_growth_csv_format():
     rows = block_growth_probe(ix, [16, 32], 50, rng)
     text = block_growth_csv(rows, ix)
     lines = text.strip().splitlines()
-    assert lines[0] == "n,mean_k,se,reps,family,params"
+    assert lines[0] == "n,mean_k,se,reps,expected_k,family,params"
     assert len(lines) == 3
     assert lines[1].startswith("16,")
     assert "geometric" in lines[1]
