@@ -41,9 +41,8 @@ def _fmt(x) -> str:
     return f"{x:.6g}"
 
 
-# Index parameters the commands take as options, with their defaults; a
-# family is offered where they cover all of its parameters.  fit takes the
-# first two only.
+# Index parameters simulate and blocks take as options, with their defaults;
+# a family is offered where they cover all of its parameters.
 _INDEX_OPTIONS = {"rho": 1.0, "nu": 1.0, "alpha": 0.5, "beta": 0.5}
 
 
@@ -190,14 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "predict, and probe block statistics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_family(p, fit_only=False):
-        choices = ([*FITTED_FAMILIES, "exponential"] if fit_only else
-                   [name for name, cls in FAMILIES.items()
-                    if all(f.name in _INDEX_OPTIONS for f in fields(cls))])
-        p.add_argument("--family", default="harmonic", choices=choices)
-        for name in list(_INDEX_OPTIONS)[:2 if fit_only else None]:
-            p.add_argument(f"--{name}", type=float,
-                           default=_INDEX_OPTIONS[name])
+    def add_family(p):
+        p.add_argument("--family", default="harmonic", choices=[
+            name for name, cls in FAMILIES.items()
+            if all(f.name in _INDEX_OPTIONS for f in fields(cls))])
+        for name, default in _INDEX_OPTIONS.items():
+            p.add_argument(f"--{name}", type=float, default=default)
 
     p = sub.add_parser("simulate", help="simulate one trajectory")
     add_family(p)
@@ -207,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="estimate (rho, nu) from data")
-    add_family(p, fit_only=True)
+    p.add_argument("--family", default="harmonic",
+                   choices=[*FITTED_FAMILIES, "exponential"])
     p.add_argument("--data", required=True,
                    help="CSV/token file path or builtin:gehan")
     p.add_argument("--method", default="mle",

@@ -24,6 +24,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -414,6 +415,32 @@ def predictive_survival(t, history: RiskSetTrajectory,
     return out
 
 
+_EVENT_ROW = attrgetter("time", "n_failures", "n_censored")
+
+
+def _draw_next(alive: int, rows, index: CharacteristicIndex, rng) -> float:
+    """The predictive draw of sample_next from the initial risk-set size and
+    the (time, n_failures, n_censored) rows of the events in time order."""
+    e_cont = rng.exponential()
+    t_prev = 0.0
+    for time, n_failures, n_censored in rows:
+        h = index.block_rate(alive, 1)
+        span = time - t_prev
+        if h * span >= e_cont:
+            return t_prev + e_cont / h
+        e_cont -= h * span
+        if n_failures > 0:
+            r = alive - n_failures
+            keep = math.exp(index.log_unit_block_rate(r + 1, n_failures)
+                            - index.log_unit_block_rate(r, n_failures))
+            if rng.random() >= keep:
+                return time
+        alive -= n_failures + n_censored
+        t_prev = time
+    h = index.block_rate(alive, 1)
+    return t_prev + e_cont / h
+
+
 def sample_next(history: RiskSetTrajectory, index: CharacteristicIndex,
                 rng) -> float:
     """Draw the next lifetime from the predictive distribution.
@@ -423,25 +450,8 @@ def sample_next(history: RiskSetTrajectory, index: CharacteristicIndex,
     Bernoulli; the draw is the minimum of the two mechanisms, which matches
     the predictive survival product exactly.
     """
-    e_cont = rng.exponential()
-    alive = history.n_initial
-    t_prev = 0.0
-    for e in history.events:
-        h = index.block_rate(alive, 1)
-        span = e.time - t_prev
-        if h * span >= e_cont:
-            return t_prev + e_cont / h
-        e_cont -= h * span
-        if e.n_failures > 0:
-            r = alive - e.n_failures
-            keep = math.exp(index.log_unit_block_rate(r + 1, e.n_failures)
-                            - index.log_unit_block_rate(r, e.n_failures))
-            if rng.random() >= keep:
-                return e.time
-        alive -= e.n_failures + e.n_censored
-        t_prev = e.time
-    h = index.block_rate(alive, 1)
-    return t_prev + e_cont / h
+    return _draw_next(history.n_initial, map(_EVENT_ROW, history.events),
+                      index, rng)
 
 
 def simulate_seeded(seed_traj: RiskSetTrajectory, m_new: int,
@@ -450,28 +460,21 @@ def simulate_seeded(seed_traj: RiskSetTrajectory, m_new: int,
 
     Each new lifetime is drawn from the current predictive distribution and
     merged into the trajectory, joining an existing failure block when it
-    lands exactly on an observed failure time.
+    lands exactly on an observed failure time.  Rows grow in place.
     """
     if m_new < 0:
         raise ParameterError("m_new must be >= 0")
-    times = [e.time for e in seed_traj.events]
     rows = [[e.time, e.n_failures, e.n_censored] for e in seed_traj.events]
     n0 = seed_traj.n_initial
-
-    def current() -> RiskSetTrajectory:
-        return RiskSetTrajectory(
-            n0, tuple(Event(t, d, c) for t, d, c in rows))
-
     for _ in range(m_new):
-        t = sample_next(current(), index, rng)
+        t = _draw_next(n0, rows, index, rng)
         n0 += 1
-        pos = bisect.bisect_left(times, t)
-        if pos < len(times) and times[pos] == t:
+        pos = bisect.bisect_left(rows, t, key=lambda row: row[0])
+        if pos < len(rows) and rows[pos][0] == t:
             rows[pos][1] += 1
         else:
-            times.insert(pos, t)
             rows.insert(pos, [t, 1, 0])
-    return current()
+    return RiskSetTrajectory(n0, tuple(Event(t, d, c) for t, d, c in rows))
 
 
 def residual_trajectory(traj: RiskSetTrajectory, t: float) -> RiskSetTrajectory:

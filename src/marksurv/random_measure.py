@@ -11,6 +11,7 @@ verification oracle for the simulator.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -35,6 +36,13 @@ __all__ = [
 ]
 
 _MAX_ATOMS = 100_000_000
+# _measure_lifetimes: chunks of ~_CHUNK_ATOMS atoms per window and at most
+# _CHUNK < 2**16 reps (it sorts reps on 16 bits); a window ends 1 - exp(-1.5)
+# = 78% of its lifetimes, so only a near-empty measure runs out of rounds.
+_CHUNK = 20_000
+_CHUNK_ATOMS = 1_000_000
+_WINDOW_LIFETIMES = 1.5
+_MAX_ROUNDS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,6 +103,34 @@ def _gamma_mass_quantiles(rho: float, eps: float, u: np.ndarray) -> np.ndarray:
     return z
 
 
+def _atom_rate(nu: float, rho: float, eps: float) -> float:
+    """Checks the gamma measure's parameters; returns its expected number of
+    atoms above eps per unit length, nu * E1(rho * eps)."""
+    if not (0.0 <= nu < math.inf):
+        raise ParameterError(f"nu must be finite and >= 0, got {nu}")
+    if not (0.0 < rho < math.inf):
+        raise ParameterError(f"rho must be finite and > 0, got {rho}")
+    if not (eps > 0.0):
+        raise ParameterError(f"truncation must be positive, got {eps}")
+    return nu * float(special.exp1(rho * eps))
+
+
+def _gamma_atoms(nu: float, rho: float, width: float, eps: float, reps: int,
+                 rng):
+    """Atoms above eps of ``reps`` independent gamma-measure draws on
+    [0, width): Poisson counts per rep, then uniform locations in rep order,
+    then masses from the truncated jump density."""
+    mean_atoms = width * _atom_rate(nu, rho, eps)
+    if mean_atoms * reps > _MAX_ATOMS:
+        raise ResourceError(f"expected atom count {mean_atoms * reps:.3g} "
+                            f"exceeds {_MAX_ATOMS:.0e}; raise the truncation")
+    counts = rng.poisson(mean_atoms, size=reps)  # draws nothing at mean 0
+    total = int(counts.sum())
+    locs = rng.uniform(0.0, width, total)
+    masses = _gamma_mass_quantiles(rho, eps, 1.0 - rng.random(total))
+    return counts, locs, masses
+
+
 def sample_gamma_measure(nu: float, rho: float, t_max: float, eps: float,
                          rng) -> MeasureRealization:
     """Draw the atoms of a gamma random measure with mass above eps.
@@ -102,22 +138,9 @@ def sample_gamma_measure(nu: float, rho: float, t_max: float, eps: float,
     Atom count is Poisson with mean nu * t_max * E1(rho * eps), locations are
     uniform on the window, and masses follow the truncated jump density.
     """
-    if not (nu >= 0.0):
-        raise ParameterError(f"nu must be >= 0, got {nu}")
-    if not (rho > 0.0):
-        raise ParameterError(f"rho must be positive, got {rho}")
     if not (t_max > 0.0):
         raise ParameterError(f"t_max must be positive, got {t_max}")
-    if not (eps > 0.0):
-        raise ParameterError(f"truncation must be positive, got {eps}")
-    mean_atoms = nu * t_max * float(special.exp1(rho * eps))
-    if mean_atoms > _MAX_ATOMS:
-        raise ResourceError(
-            f"expected atom count {mean_atoms:.3g} exceeds {_MAX_ATOMS:.0e}; "
-            "raise the truncation")
-    count = int(rng.poisson(mean_atoms)) if mean_atoms > 0.0 else 0
-    locs = rng.uniform(0.0, t_max, count)
-    masses = _gamma_mass_quantiles(rho, eps, 1.0 - rng.random(count))
+    _, locs, masses = _gamma_atoms(nu, rho, t_max, eps, 1, rng)
     return MeasureRealization(t_max=t_max, drift=0.0, locations=locs,
                               masses=masses, truncation=eps)
 
@@ -183,71 +206,58 @@ def gamma_interval_totals(nu: float, rho: float, breaks: Sequence[float],
     breaks = np.asarray(breaks, dtype=float)
     if breaks.ndim != 1 or breaks.size < 2 or np.any(np.diff(breaks) <= 0.0):
         raise ParameterError("breaks must be strictly increasing")
-    span = breaks[-1] - breaks[0]
-    mean_atoms = nu * span * float(special.exp1(rho * eps))
-    if mean_atoms * reps > _MAX_ATOMS:
-        raise ResourceError("atom budget exceeded; raise eps or lower reps")
-    counts = rng.poisson(mean_atoms, size=reps)
-    total = int(counts.sum())
-    rep_of = np.repeat(np.arange(reps), counts)
-    locs = rng.uniform(breaks[0], breaks[-1], total)
-    masses = _gamma_mass_quantiles(rho, eps, 1.0 - rng.random(total))
-    seg = np.searchsorted(breaks, locs, side="left") - 1
-    seg = np.clip(seg, 0, breaks.size - 2)
+    counts, locs, masses = _gamma_atoms(nu, rho, breaks[-1] - breaks[0], eps,
+                                        reps, rng)
     nseg = breaks.size - 1
-    flat = np.bincount(rep_of * nseg + seg, weights=masses,
-                       minlength=reps * nseg)
-    return flat.reshape(reps, nseg)
+    cell = (np.repeat(np.arange(reps) * nseg, counts)
+            + np.searchsorted(breaks[1:-1], breaks[0] + locs))
+    return np.bincount(cell, weights=masses,
+                       minlength=reps * nseg).reshape(reps, nseg)
 
 
-def _batched_measure_times(nu: float, rho: float, n: int, window: float,
-                           eps: float, reps: int, rng):
-    """reps x n lifetimes within (0, window] under independent gamma-measure
-    draws; inf marks survival past the window."""
-    mean_atoms = nu * window * float(special.exp1(rho * eps))
-    counts = rng.poisson(mean_atoms, size=reps)
-    total = int(counts.sum())
-    e = rng.exponential(size=(reps, n))
-    if total == 0:
-        return np.full((reps, n), np.inf)
-    rep_of = np.repeat(np.arange(reps), counts)
-    locs = rng.uniform(0.0, window, total)
-    masses = _gamma_mass_quantiles(rho, eps, 1.0 - rng.random(total))
-    order = np.lexsort((locs, rep_of))
-    locs, masses = locs[order], masses[order]
-    cum = np.concatenate([[0.0], np.cumsum(masses)])
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    base = cum[offsets[:-1]]
-    target = base[:, None] + e
-    g = np.searchsorted(cum[1:], target, side="left")
-    hit = g < offsets[1:, None]
-    safe = np.minimum(g, total - 1)
-    times = np.where(hit, locs[safe], np.inf)
+def _measure_lifetimes(nu: float, rho: float, n: int, eps: float, reps: int,
+                       rng) -> np.ndarray:
+    """reps x n lifetimes, each row conditionally iid given its own draw of
+    the gamma measure.  Each lifetime ends at the first atom where the
+    measure's running total reaches its standard exponential.  The measure
+    is drawn window by window, _WINDOW_LIFETIMES mean single lifetimes
+    1 / (nu log(1 + 1/rho)) long, and a lifetime unresolved at a window's
+    end carries its remaining exponential into a fresh window: the
+    increments on disjoint windows are independent, and the exponential has
+    no memory."""
+    width = _WINDOW_LIFETIMES / (nu * math.log1p(1.0 / rho))
+    per_rep = width * _atom_rate(nu, rho, eps)
+    chunk = min(_CHUNK, max(1, int(_CHUNK_ATOMS / max(per_rep, 1.0))))
+    times = np.full((reps, n), np.inf)
+    for start in range(0, reps, chunk):
+        rows = np.arange(start, min(start + chunk, reps))
+        left = rng.standard_exponential((rows.size, n))
+        for offset in width * np.arange(_MAX_ROUNDS):
+            counts, locs, masses = _gamma_atoms(nu, rho, width, eps,
+                                                rows.size, rng)
+            bound = np.concatenate([[0], np.cumsum(counts)])
+            # Sort locations within reps: by value, then stably by rep (a
+            # radix sort on 16 bits).  The masses are iid and independent of
+            # the locations, so they stay in draw order.
+            by_loc = np.argsort(locs)
+            rep_of = np.repeat(np.arange(rows.size, dtype=np.uint16), counts)
+            locs = locs[by_loc][np.argsort(rep_of[by_loc], kind="stable")]
+            cum = np.concatenate([[0.0], np.cumsum(masses)])
+            base = cum[bound[:-1], None]
+            at = np.maximum(np.searchsorted(cum[1:], base + left),
+                            bound[:-1, None])
+            hit = at < bound[1:, None]
+            r, c = np.nonzero(hit)
+            times[rows[r], c] = offset + locs[at[r, c]]
+            left = np.where(hit, np.inf, left - (cum[bound[1:], None] - base))
+            keep = np.isfinite(left).any(axis=1)
+            rows, left = rows[keep], left[keep]
+            if rows.size == 0:
+                break
+        else:
+            raise ResourceError(f"lifetimes unresolved after {_MAX_ROUNDS} "
+                                "windows; lower the truncation")
     return times
-
-
-def _measure_distinct_counts(nu: float, rho: float, n: int, eps: float,
-                             reps: int, rng, window: float = 8.0,
-                             max_rounds: int = 60) -> np.ndarray:
-    """Distinct-value counts of n lifetimes per rep under the measure
-    pathway, extending the window for survivors round by round."""
-    times = _batched_measure_times(nu, rho, n, window, eps, reps, rng)
-    offset = window
-    for _ in range(max_rounds):
-        alive_rows = np.flatnonzero(np.isinf(times).any(axis=1))
-        if alive_rows.size == 0:
-            break
-        fresh = _batched_measure_times(nu, rho, n, window, eps,
-                                       alive_rows.size, rng)
-        block = times[alive_rows]
-        mask = np.isinf(block)
-        block[mask] = (offset + fresh)[mask]
-        times[alive_rows] = block
-        offset += window
-    else:
-        raise ResourceError("lifetimes failed to resolve; window too short")
-    s = np.sort(times, axis=1)
-    return 1 + np.count_nonzero(np.diff(s, axis=1) > 0.0, axis=1)
 
 
 @dataclass(frozen=True)
@@ -273,42 +283,37 @@ class ConstructionReport:
 
 def compare_constructions(nu: float, rho: float, n: int,
                           grid_values: Sequence[float], reps: int,
-                          eps: float, rng, chunk: int = 20000) -> ConstructionReport:
+                          eps: float, rng) -> ConstructionReport:
     """Check that the measure pathway and the Markov pathway agree.
 
-    (a) empirical joint survival over the product grid vs the exact values;
-    (b) the distribution of the number of distinct lifetimes vs direct
-    Markov simulation at the matching index.  Both come back as z-scores.
+    One measure-route draw per rep gives both checks: (a) empirical joint
+    survival over the product grid vs the exact values; (b) the distribution
+    of the number of distinct lifetimes vs direct Markov simulation at the
+    matching index.  Both come back as z-scores.
     """
+    index = GammaIndex(nu=nu, rho=rho)
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
+    if reps < 1:
+        raise ParameterError(f"reps must be >= 1, got {reps}")
     grid_values = sorted(float(g) for g in grid_values)
     if not grid_values or grid_values[0] <= 0.0:
         raise ParameterError("grid values must be positive")
-    combos = _product_grid(grid_values, n)
-    window = grid_values[-1]
-
-    hits = np.zeros(len(combos), dtype=np.int64)
-    done = 0
-    while done < reps:
-        m = min(chunk, reps - done)
-        times = _batched_measure_times(nu, rho, n, window, eps, m, rng)
-        for i, combo in enumerate(combos):
-            hits[i] += int(np.count_nonzero(
-                (times > np.asarray(combo)).all(axis=1)))
-        done += m
-    index = GammaIndex(nu=nu, rho=rho)
+    combos = list(itertools.product(grid_values, repeat=n))
     exact = np.array([joint_survival(c, index) for c in combos])
+
+    times = _measure_lifetimes(nu, rho, n, eps, reps, rng)
+    hits = np.array([np.count_nonzero((times > c).all(axis=1))
+                     for c in combos])
+    counts_measure = 1 + np.count_nonzero(
+        np.diff(np.sort(times, axis=1), axis=1) > 0.0, axis=1)
     emp = hits / reps
     se = np.sqrt(exact * (1.0 - exact) / reps)
     survival_z = (emp - exact) / se
 
-    counts_measure = np.concatenate([
-        _measure_distinct_counts(nu, rho, n, eps,
-                                 min(chunk, reps - start), rng)
-        for start in range(0, reps, chunk)])
     counts_markov = process.simulate_batch(n, index, reps, rng).num_blocks
-    kvals = np.arange(1, n + 1)
-    p1 = np.array([(counts_measure == k).mean() for k in kvals])
-    p2 = np.array([(counts_markov == k).mean() for k in kvals])
+    p1 = np.bincount(counts_measure, minlength=n + 1)[1:] / reps
+    p2 = np.bincount(counts_markov, minlength=n + 1)[1:] / reps
     pbar = 0.5 * (p1 + p2)
     with np.errstate(divide="ignore", invalid="ignore"):
         count_z = np.where(
@@ -324,13 +329,6 @@ def compare_constructions(nu: float, rho: float, n: int,
 def simulate_distinct_count(n: int, index: CharacteristicIndex, rng) -> int:
     """Number of distinct failure times in one direct Markov simulation."""
     return int(process.simulate_batch(n, index, 1, rng).num_blocks[0])
-
-
-def _product_grid(values, n):
-    combos = [()]
-    for _ in range(n):
-        combos = [c + (v,) for c in combos for v in values]
-    return combos
 
 
 def realization_to_csv(measure: MeasureRealization) -> str:

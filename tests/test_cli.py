@@ -140,6 +140,17 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
     assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--rho", "--nu"])
+def test_fit_rejects_index_options(tmp_path, capsys, option):
+    # fit estimates rho and nu; --fix-rho is the way to hold rho fixed
+    with pytest.raises(SystemExit) as exc:
+        run(["fit", "--data", "builtin:gehan", option, 5,
+             "--out", tmp_path / "fit.json"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_unwritable_output_exits_with_data_code(tmp_path, capsys):
     code = run(["simulate", "-n", 3, "--seed", 1,
                 "--out", tmp_path / "missing" / "t.csv"])

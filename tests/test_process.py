@@ -577,6 +577,54 @@ def test_seeded_label_exchangeability():
     assert log_density(relabeled, H11) == log_density(out, H11)
 
 
+def _seeded_by_rebuilding(seed, m_new, index, rng):
+    """simulate_seeded as defined by rebuilding the trajectory before each
+    sample_next draw and merging the draw into it."""
+    traj = seed
+    for _ in range(m_new):
+        t = sample_next(traj, index, rng)
+        rows = [[e.time, e.n_failures, e.n_censored] for e in traj.events]
+        same = [row for row in rows if row[0] == t]
+        if same:
+            same[0][1] += 1
+        else:
+            rows = sorted(rows + [[t, 1, 0]])
+        traj = RiskSetTrajectory(traj.n_initial + 1,
+                                 tuple(Event(*row) for row in rows))
+    return traj
+
+
+@pytest.mark.parametrize("index", [H11, GammaIndex(1.0, 1.0)],
+                         ids=["harmonic", "gamma"])
+def test_seeded_matches_rebuild_then_draw(index):
+    for seed in range(3):
+        rng = make_rng(seed)
+        seed_traj = simulate(8, index, plan=CensoringPlan(
+            tuple(rng.uniform(0.5, 3.0, 8))), rng=rng)
+        state = rng.bit_generator.state
+        out = simulate_seeded(seed_traj, 25, index, rng)
+        rng.bit_generator.state = state
+        ref = _seeded_by_rebuilding(seed_traj, 25, index, rng)
+        assert out.n_initial == ref.n_initial
+        assert [(e.time, e.n_failures, e.n_censored) for e in out.events] == \
+            [(e.time, e.n_failures, e.n_censored) for e in ref.events]
+
+
+def test_seeded_builds_each_output_event_once(monkeypatch):
+    built = []
+
+    class CountedEvent(Event):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    seed = RiskSetTrajectory(3, (Event(1.0, 2, 0), Event(2.0, 0, 1)))
+    monkeypatch.setattr(process, "Event", CountedEvent)
+    out = simulate_seeded(seed, 60, H11, make_rng(27))
+    assert out.n_initial == 63
+    assert len(built) == len(out.events)
+
+
 # ---------------------------------------------------------------------------
 # residual trajectories and memory properties
 

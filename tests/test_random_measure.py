@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
-from marksurv.index import GammaIndex, HarmonicIndex
+from marksurv import random_measure
+from marksurv.index import GammaIndex, HarmonicIndex, ParameterError
 from marksurv.random_measure import (MeasureRealization, ResourceError,
                                      compare_constructions,
                                      gamma_interval_totals, joint_survival,
@@ -188,6 +189,57 @@ def test_single_particle_equivalence():
     rep = compare_constructions(1.0, 1.0, 1, [0.5, 1.0, 2.0],
                                 reps=20000, eps=1e-7, rng=rng)
     assert rep.max_abs_z < 4.0
+
+
+BAD_MEASURE = [(-1.0, 1.0, 1e-6), (math.nan, 1.0, 1e-6), (1.0, 0.0, 1e-6),
+               (1.0, -2.0, 1e-6), (1.0, math.nan, 1e-6), (1.0, 1.0, 0.0),
+               (1.0, 1.0, -1e-6), (1.0, 1.0, math.nan)]
+
+
+@pytest.mark.parametrize("nu, rho, eps", BAD_MEASURE)
+def test_bad_measure_parameters_raise_parameter_error(nu, rho, eps):
+    rng = make_rng(43)
+    with pytest.raises(ParameterError):
+        compare_constructions(nu, rho, 2, [0.5, 1.0], 100, eps, rng)
+    with pytest.raises(ParameterError):
+        gamma_interval_totals(nu, rho, [0.0, 1.0], eps, 100, rng)
+
+
+@pytest.mark.parametrize("reps", [0, -1])
+def test_compare_needs_a_rep(reps):
+    with pytest.raises(ParameterError):
+        compare_constructions(1.0, 1.0, 2, [0.5, 1.0], reps, 1e-6,
+                              make_rng(44))
+
+
+def test_compare_enforces_the_atom_budget(monkeypatch):
+    # about 29 atoms per rep in the first window, so 200 reps need ~5,700
+    monkeypatch.setattr(random_measure, "_MAX_ATOMS", 1000)
+    with pytest.raises(ResourceError):
+        compare_constructions(1.0, 1.0, 2, [0.5, 1.0], 200, 1e-6,
+                              make_rng(45))
+
+
+def test_compare_resolves_long_lifetimes():
+    # mean single lifetime 1 / (0.01 log 2), about 144
+    rep = compare_constructions(0.01, 1.0, 3, [1.0, 50.0], 500, 1e-6,
+                                make_rng(46))
+    assert rep.count_emp.sum() == pytest.approx(1.0)
+    assert rep.max_abs_z < 4.0
+
+
+@pytest.mark.parametrize("nu, rho, eps", [(1.0, 1.0, 1e-6),
+                                          (0.05, 0.1, 1e-4)])
+def test_single_measure_lifetimes_are_exponential(nu, rho, eps):
+    # With n = 1 a lifetime is Exp with the truncated measure's Laplace
+    # exponent at 1, nu (E1(rho eps) - E1((rho + 1) eps)), which tends to
+    # nu log(1 + 1/rho) as eps -> 0.
+    t = random_measure._measure_lifetimes(nu, rho, 1, eps, 20000,
+                                          make_rng(47))[:, 0]
+    width = random_measure._WINDOW_LIFETIMES / (nu * math.log1p(1.0 / rho))
+    assert np.count_nonzero(t > 2.0 * width) > 500  # crossing windows
+    rate = nu * (special.exp1(rho * eps) - special.exp1((rho + 1.0) * eps))
+    assert stats.kstest(t, "expon", args=(0.0, 1.0 / rate)).pvalue > 0.01
 
 
 def test_realization_csv():

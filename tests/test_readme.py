@@ -1,0 +1,15 @@
+"""The README's library example runs as written."""
+
+import re
+import time
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    t0 = time.perf_counter()
+    exec(compile(blocks[0], str(README), "exec"), {})
+    assert time.perf_counter() - t0 < 1.0
