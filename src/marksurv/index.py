@@ -22,12 +22,13 @@ inverse CDF) evaluate no rate after the first pass.
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, special
 
 __all__ = [
     "ParameterError",
@@ -68,6 +69,23 @@ class NumericError(ArithmeticError):
 
 class ResourceError(RuntimeError):
     """The request exceeds a memory or work budget."""
+
+
+class _LazyModule:
+    """Stands in for a module and imports it at the first attribute read."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, item):
+        return getattr(importlib.import_module(self._name), item)
+
+
+# scipy is loaded only where a path needs it: quadrature (the power family,
+# the gamma fallback, measures), beta rates and the random-measure route.
+# Closed-form rates, fits and predictions run on math and numpy alone.
+integrate = _LazyModule("scipy.integrate")
+special = _LazyModule("scipy.special")
 
 
 # Largest n for which all rows of the rate triangle are kept at once
@@ -171,10 +189,60 @@ def _log_rising(x, k):
             + series(y) - series(x))
 
 
+# scipy's digamma (Cephes psi): the asymptotic series coefficients, highest
+# order first, and Boost's rational approximation on [1, 2], written relative
+# to the positive root of digamma.
+_PSI_ASYMPTOTIC = (1.0 / 12.0, -691.0 / 32760.0, 1.0 / 132.0, -1.0 / 240.0,
+                   1.0 / 252.0, -1.0 / 120.0, 1.0 / 12.0)
+_PSI_P = (-0.0020713321167745952, -0.045251321448739056, -0.28919126444774784,
+          -0.65031853770896507, -0.32555031186804491, 0.25479851061131551)
+_PSI_Q = (-0.55789841321675513e-6, 0.0021284987017821144,
+          0.054151797245674225, 0.43593529692665969, 1.4606242909763515,
+          2.0767117023730469, 1.0)
+_PSI_Y = 0.99558162689208984375  # a float32 constant
+_PSI_ROOT = (1569415565.0 / 1073741824.0,
+             381566830.0 / 1073741824.0 / 1073741824.0,
+             0.9016312093258695918615325266959189453125e-19)
+_EULER = 0.57721566490153286061
+
+
+def _polevl(x: float, coef) -> float:
+    out = coef[0]
+    for c in coef[1:]:
+        out = out * x + c
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _digamma(x: float) -> float:
+    """digamma(x) for x > 0, step for step as scipy.special.digamma computes
+    it (equal to the last bit): a harmonic sum at integers up to 10; else
+    the recurrence into [1, 2] and a rational approximation there, or, from
+    10 on, the asymptotic series through the x**-14 term."""
+    y = 0.0
+    if x <= 10.0 and x == math.floor(x):
+        for i in range(1, int(x)):
+            y += 1.0 / i
+        return y - _EULER
+    if x < 1.0:
+        y -= 1.0 / x
+        x += 1.0
+    elif x < 10.0:
+        while x > 2.0:
+            x -= 1.0
+            y += 1.0 / x
+    if x <= 2.0:
+        g = x - _PSI_ROOT[0] - _PSI_ROOT[1] - _PSI_ROOT[2]
+        r = _polevl(x - 1.0, _PSI_P) / _polevl(x - 1.0, _PSI_Q)
+        return y + (g * _PSI_Y + g * r)
+    z = 1.0 / (x * x)
+    return y + (math.log(x) - 0.5 / x - z * _polevl(z, _PSI_ASYMPTOTIC))
+
+
 def _digamma_difference(rho: float, n: int) -> float:
     """digamma(n + rho) - digamma(rho), the harmonic index at unit scale."""
-    hi = float(special.digamma(n + rho))
-    lo = float(special.digamma(rho))
+    hi = _digamma(n + rho)
+    lo = _digamma(rho)
     if (abs(hi) + abs(lo)) * _EPS > _CANCEL_TOL * (hi - lo):
         # At large rho the two digammas cancel; the difference telescopes
         # into the positive singleton rates 1 / (rho + k), k < n.
@@ -190,9 +258,28 @@ def _separable_reader(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     return read
 
 
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """math.lgamma elementwise over a 1-d array."""
+    return np.fromiter(map(math.lgamma, x.tolist()), float, len(x))
+
+
+# log k!, k = 0, 1, ...: one table for every caller, grown on demand.
+_LOG_FACTORIALS = np.zeros(1)
+_LOG_FACTORIALS.flags.writeable = False
+
+
 def _log_factorials(n: int) -> np.ndarray:
-    """lf[k] = log k! for k = 0..n."""
-    return special.gammaln(np.arange(1.0, n + 2.0))
+    """lf[k] = log k! = lgamma(k + 1) for k = 0..n, a read-only view of the
+    shared table; a request past its end at least doubles it."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    have = len(table)
+    if have <= n:
+        more = np.arange(have + 1.0, max(n + 1, 2 * have) + 1.0)
+        # Read from the local table: a concurrent caller may swap in its own.
+        table = _LOG_FACTORIALS = _read_only(
+            np.concatenate([table, _lgamma(more)]))
+    return table[:n + 1]
 
 
 def _first_block_log_rows(rule, n: int):
@@ -427,10 +514,11 @@ class HarmonicIndex(CharacteristicIndex):
         i = np.arange(n + 1, dtype=float)
         # Only differences g[r] - g[r + d] enter the rates.
         if self.rho < _STIRLING_MIN:
-            g = special.gammaln(self.rho + i)
+            g = _lgamma(self.rho + i)
         else:
             g = _log_rising(self.rho, i)
-        return special.gammaln(np.maximum(i, 1.0)), g, -g
+        # a[d] = log (d - 1)!, and a[0] = 0 (never read).
+        return np.concatenate([[0.0], _log_factorials(n - 1)]), g, -g
 
 
 # Scaling probes for the gamma integrand in its rescaled variable.
@@ -710,13 +798,13 @@ class BetaSplitIndex(CharacteristicIndex):
     def _log_terms(self, n: int):
         i = np.arange(n + 1, dtype=float)
         if self.rho < _STIRLING_MIN:
-            b = special.gammaln(self.rho + i)
-            c = -special.gammaln(self.rho + self.beta + i)
+            b = _lgamma(self.rho + i)
+            c = -_lgamma(self.rho + self.beta + i)
         else:
             # The same terms less log Gamma(rho), which cancels in b + c.
             b = _log_rising(self.rho, i)
             c = -_log_rising(self.rho, self.beta + i)
-        return special.gammaln(np.maximum(self.beta + i, _EPS)), b, c
+        return _lgamma(np.maximum(self.beta + i, _EPS)), b, c
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ import json
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from statistics import NormalDist
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize, special
 
 from .index import (FAMILIES, CharacteristicIndex, NumericError,
                     ParameterError, index_from_spec)
@@ -56,6 +56,8 @@ FITTED_FAMILIES = tuple(name for name, cls in FAMILIES.items()
 # Default profile grid on log rho; wide because the profile is typically
 # flat far from the origin.
 _PROFILE_GRID = (-3.0, 8.0, 60)
+# Bracket of log rho searched for the moment equation's root.
+_MOMENT_BRACKET = (-20.0, 25.0)
 
 
 def family_index(family: str, rho: float, nu: float = 1.0) -> CharacteristicIndex:
@@ -260,6 +262,61 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (a + b)
 
 
+def _brentq(f: Callable[[float], float], xa: float, xb: float,
+            xtol: float = 1e-12, rtol: float = 4 * math.ulp(1.0),
+            maxiter: int = 100) -> float:
+    """Root of f on [xa, xb], where f changes sign, by Brent's method step
+    for step as scipy.optimize.brentq takes it (inverse quadratic or secant
+    steps inside the bracket, else bisection), so the root agrees with
+    scipy's to the last bit."""
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise NumericError("root bracket has a NaN end")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericError(f"no sign change on [{xa:g}, {xb:g}]: "
+                           f"f = {fpre:.6g}, {fcur:.6g}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise NumericError(f"root search met NaN at {xcur!r}")
+    raise NumericError(f"root search failed to converge in {maxiter} steps")
+
+
 def _hessian_2d(f: Callable[[np.ndarray], float], x: np.ndarray,
                 h: float = 1e-4) -> np.ndarray:
     hess = np.empty((2, 2))
@@ -385,7 +442,7 @@ def fit_moment(data: Dataset, family: str, tol: float = 1e-8,
             idx = family_index(family, math.exp(g))
             return _nu * idx.unit_total_rate(1) - target
 
-        new_log_rho = optimize.brentq(gap, -20.0, 25.0, xtol=1e-12)
+        new_log_rho = _brentq(gap, *_MOMENT_BRACKET)
         if abs(new_log_rho - log_rho) < tol:
             log_rho = new_log_rho
             break
@@ -403,8 +460,8 @@ def profile_interval(fit: FitResult, level: float = 0.95):
     x = np.log([r for r, _ in fit.profile])
     y = np.array([v for _, v in fit.profile])
     # The chi-square(1) quantile at level is the squared normal quantile at
-    # (1 + level) / 2; scipy.stats would double the package's import time.
-    cut = y.max() - 0.5 * special.ndtri((1.0 + level) / 2.0) ** 2
+    # (1 + level) / 2, which the standard library gives without scipy.
+    cut = y.max() - 0.5 * NormalDist().inv_cdf((1.0 + level) / 2.0) ** 2
     above = y >= cut
     if not above.any():
         raise ParameterError("profile never reaches the confidence level")

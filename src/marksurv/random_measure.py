@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .index import (CharacteristicIndex, GammaIndex, ParameterError,
-                    ResourceError)
+                    ResourceError, special)
 from . import process
 
 __all__ = [
@@ -260,6 +261,22 @@ def _measure_lifetimes(nu: float, rho: float, n: int, eps: float, reps: int,
     return times
 
 
+def _binomial_z(hits: np.ndarray, reps: int, p: np.ndarray) -> np.ndarray:
+    """z-scores of counts ``hits`` of Binomial(reps, p): the normal quantile
+    of the mid-p tail P(X < h) + P(X = h) / 2, read from the smaller of it
+    and its complement.  Unlike (h - reps p) / sd, it stays calibrated where
+    reps p is far below 1."""
+    below = np.where(hits > 0,
+                     special.bdtr(np.maximum(hits - 1, 0), reps, p), 0.0)
+    lower = 0.5 * (below + special.bdtr(hits, reps, p))
+    upper = 0.5 * (special.bdtrc(hits - 1, reps, p)
+                   + special.bdtrc(hits, reps, p))
+    inv = NormalDist().inv_cdf
+    tiny = sys.float_info.min
+    return np.array([inv(max(lo, tiny)) if lo < up else -inv(max(up, tiny))
+                     for lo, up in zip(lower.tolist(), upper.tolist())])
+
+
 @dataclass(frozen=True)
 class ConstructionReport:
     """Standardized discrepancies between the measure-mixture pathway, exact
@@ -289,7 +306,9 @@ def compare_constructions(nu: float, rho: float, n: int,
     One measure-route draw per rep gives both checks: (a) empirical joint
     survival over the product grid vs the exact values; (b) the distribution
     of the number of distinct lifetimes vs direct Markov simulation at the
-    matching index.  Both come back as z-scores.
+    matching index.  Both come back as z-scores; a survival cell's is read
+    from the exact binomial tail of its hit count, so cells expecting far
+    under one hit raise no false alarm.
     """
     index = GammaIndex(nu=nu, rho=rho)
     if n < 1:
@@ -308,8 +327,7 @@ def compare_constructions(nu: float, rho: float, n: int,
     counts_measure = 1 + np.count_nonzero(
         np.diff(np.sort(times, axis=1), axis=1) > 0.0, axis=1)
     emp = hits / reps
-    se = np.sqrt(exact * (1.0 - exact) / reps)
-    survival_z = (emp - exact) / se
+    survival_z = _binomial_z(hits, reps, exact)
 
     counts_markov = process.simulate_batch(n, index, reps, rng).num_blocks
     p1 = np.bincount(counts_measure, minlength=n + 1)[1:] / reps

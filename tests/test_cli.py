@@ -253,3 +253,37 @@ def test_import_leaves_out_scipy_stats():
          "import sys, marksurv.cli; print('scipy.stats' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# The README's closed-form commands (see README.md, CLI section).
+CLOSED_FORM_COMMANDS = {
+    "fit harmonic": ["fit", "--data", "builtin:gehan", "--family",
+                     "harmonic", "--method", "both", "--out", "fit.json"],
+    "fit exponential": ["fit", "--data", "builtin:gehan", "--family",
+                        "exponential", "--out", "baseline.json"],
+    "predict": ["predict", "--data", "builtin:gehan", "--grid", "0:35:0.5",
+                "--out", "curves.csv"],
+    "blocks": ["blocks", "--family", "harmonic", "--rho", "1", "--nu", "1",
+               "--n-list", "512,1024,2048", "--reps", "500", "--seed", "7",
+               "--out", "blocks.csv"],
+}
+
+
+@pytest.mark.parametrize("argv", [None, *CLOSED_FORM_COMMANDS.values()],
+                         ids=["import", *CLOSED_FORM_COMMANDS])
+def test_closed_form_commands_load_no_scipy(tmp_path, argv):
+    # scipy is loaded only by paths that call into it (quadrature, beta
+    # rates, the random-measure route); importing it costs more than the
+    # work of any of these commands.
+    env = dict(os.environ, MARKSURV_OUTDIR=str(tmp_path),
+               PYTHONPATH=os.path.dirname(os.path.dirname(marksurv.__file__)))
+    code = ("import sys, json, contextlib, io, marksurv.cli\n"
+            "argv = json.loads(sys.argv[1])\n"
+            "if argv is not None:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert marksurv.cli.main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -453,3 +453,83 @@ def test_sample_mean_variance_floor():
     assert var_by_n[1000] > 50.0 / 1000.0
     assert var_by_n[1000] == pytest.approx(floor, rel=0.5)
     assert var_by_n[100] == pytest.approx(var_by_n[1000], rel=0.5)
+
+
+# ---------------------------------------------------------------------------
+# the moment equation's root finder
+
+
+def _monotone_cases(rng, count):
+    """Generic monotone functions with random brackets around their root."""
+    shapes = [
+        lambda a, r: (lambda x: a * (x - r) ** 3 + (x - r)),
+        lambda a, r: (lambda x: math.tanh(a * (x - r))),
+        lambda a, r: (lambda x: math.expm1(max(min(a * (x - r), 50.0),
+                                               -50.0))),
+        lambda a, r: (lambda x: math.atan(a * (x - r)) - 0.1 * a),
+        lambda a, r: (lambda x: a * (x / (1.0 + abs(x))
+                                     - r / (1.0 + abs(r)))),
+    ]
+    for i in range(count):
+        a = 10.0 ** rng.uniform(-2.0, 2.0)
+        r = rng.uniform(-5.0, 5.0)
+        lo, hi = r - 10.0 ** rng.uniform(-3.0, 1.5), \
+            r + 10.0 ** rng.uniform(-3.0, 1.5)
+        yield shapes[i % len(shapes)](a, r), lo, hi
+
+
+def _scipy_or_error(f, lo, hi):
+    from scipy import optimize
+    try:
+        return optimize.brentq(f, lo, hi, xtol=1e-12)
+    except ValueError:
+        return "no sign change"
+
+
+def _port_or_error(f, lo, hi):
+    try:
+        return inference._brentq(f, lo, hi)
+    except inference.NumericError:
+        return "no sign change"
+
+
+def test_root_finder_equals_scipy_brentq_bit_for_bit():
+    rng = make_rng(61)
+    compared = 0
+    for family in ("harmonic", "gamma"):
+        for _ in range(600):
+            nu = 10.0 ** rng.uniform(-3.0, 2.0)
+            target = 10.0 ** rng.uniform(-3.0, 2.0)
+
+            def gap(g, _nu=nu, _t=target, _f=family):
+                return (_nu * inference.family_index(_f, math.exp(g))
+                        .unit_total_rate(1) - _t)
+
+            ours = _port_or_error(gap, *inference._MOMENT_BRACKET)
+            assert ours == _scipy_or_error(gap, *inference._MOMENT_BRACKET)
+            compared += ours != "no sign change"
+    for f, lo, hi in _monotone_cases(rng, 2500):
+        ours = _port_or_error(f, lo, hi)
+        assert ours == _scipy_or_error(f, lo, hi), (lo, hi)
+        compared += ours != "no sign change"
+    assert compared >= 3000
+
+
+def test_root_finder_without_sign_change_raises_numeric_error():
+    with pytest.raises(inference.NumericError, match="no sign change") as err:
+        inference._brentq(lambda x: x * x + 1.0, -1.0, 2.0)
+    assert not isinstance(err.value, ValueError)
+    with pytest.raises(inference.NumericError, match="NaN"):
+        inference._brentq(lambda x: math.nan, 0.0, 1.0)
+
+
+def test_moment_fit_without_a_root_exits_numeric(monkeypatch, capsys,
+                                                 tmp_path):
+    from marksurv.cli import main
+    monkeypatch.setattr(inference, "_MOMENT_BRACKET", (15.0, 25.0))
+    code = main(["fit", "--data", "builtin:gehan", "--method", "moment",
+                 "--out", str(tmp_path / "fit.json")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and err.count("\n") == 1
+    assert "no sign change" in err

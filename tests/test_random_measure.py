@@ -191,6 +191,45 @@ def test_single_particle_equivalence():
     assert rep.max_abs_z < 4.0
 
 
+# nu = 5 puts the grid's far corner at exact survival 3.1e-7: 0.006 expected
+# hits in 20,000 reps, where a normal approximation turns a single hit into
+# a z-score of 5.6 (it did so on seeds 2 and 3).
+RARE_CELLS = dict(nu=5.0, rho=1.0, n=3, grid_values=[0.36, 1.08, 2.16],
+                  reps=20000, eps=1e-7)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_rare_survival_cells_raise_no_false_alarm(seed):
+    rep = compare_constructions(**RARE_CELLS, rng=make_rng(seed))
+    assert rep.survival_exact.min() * rep.reps < 0.01
+    assert rep.max_abs_z < 4.0
+
+
+@pytest.mark.parametrize("bias", [0.8, 1.2])
+def test_biased_exact_survival_is_flagged(monkeypatch, bias):
+    exact = random_measure.joint_survival
+    monkeypatch.setattr(random_measure, "joint_survival",
+                        lambda times, index: bias * exact(times, index))
+    rep = compare_constructions(**RARE_CELLS, rng=make_rng(1))
+    assert rep.max_abs_z > 4.0
+
+
+def test_binomial_z_is_the_normal_score_of_the_mid_p_tail():
+    hits = np.array([0, 1, 2, 50, 100, 150, 20000])
+    p = np.array([1.5e-6, 1.5e-6, 1.5e-6, 0.005, 0.005, 0.005, 0.5])
+    z = random_measure._binomial_z(hits, 20000, p)
+    mid = np.array([float(stats.binom.cdf(h - 1, 20000, q)
+                          + 0.5 * stats.binom.pmf(h, 20000, q))
+                    for h, q in zip(hits, p)])
+    inner = (mid > 1e-12) & (mid < 1.0 - 1e-12)
+    assert np.allclose(z[inner], stats.norm.ppf(mid[inner]), rtol=1e-9)
+    # One hit where 0.03 were expected is unremarkable; far tails stay
+    # finite and keep their sign.
+    assert 1.5 < z[1] < 2.5
+    assert z[0] == pytest.approx(-0.0375, abs=0.01)
+    assert z[-1] > 30.0 and np.all(np.isfinite(z))
+
+
 BAD_MEASURE = [(-1.0, 1.0, 1e-6), (math.nan, 1.0, 1e-6), (1.0, 0.0, 1e-6),
                (1.0, -2.0, 1e-6), (1.0, math.nan, 1e-6), (1.0, 1.0, 0.0),
                (1.0, 1.0, -1e-6), (1.0, 1.0, math.nan)]
