@@ -74,6 +74,10 @@ def _seed(text: str) -> int:
     return seed
 
 
+# Most points a prediction grid may have.
+_MAX_GRID_POINTS = 1_000_000
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         a, b, step = (float(p) for p in spec.split(":"))
@@ -81,7 +85,12 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ParameterError(f"grid must be a:b:step, got {spec!r}") from exc
     if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
         raise ParameterError(f"grid needs finite a <= b, step > 0: {spec!r}")
-    return np.arange(a, b + 0.5 * step, step)
+    stop = b + 0.5 * step
+    # np.arange(a, stop, step) has ceil((stop - a) / step) points.
+    if not (stop - a) / step <= _MAX_GRID_POINTS:
+        raise ParameterError(f"grid {spec!r} exceeds {_MAX_GRID_POINTS} "
+                             "points or the float range")
+    return np.arange(a, stop, step)
 
 
 def cmd_simulate(args) -> int:

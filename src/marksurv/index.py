@@ -17,7 +17,9 @@ lambda(r, d) = lambda(r, d + 1) + lambda(r + 1, d), a sum of non-negative
 terms with no cancellation; separable closed forms give each row directly.
 An index remembers each outer diagonal it evaluates, so samplers that read
 the rows again and again (one row per visited risk-set size, drawn by
-inverse CDF) evaluate no rate after the first pass.
+inverse CDF) evaluate no rate after the first pass.  The samplers, the
+first-block law and the block-count dynamic program all take their rows
+log C(m, d) + log lambda(m - d, d) from one reader, ``_first_block_reader``.
 """
 
 from __future__ import annotations
@@ -88,10 +90,11 @@ integrate = _LazyModule("scipy.integrate")
 special = _LazyModule("scipy.special")
 
 
-# Largest n for which all rows of the rate triangle are kept at once
-# (splitting tables).  A table of n rows holds (n + 1)**2 floats: 134 MB at
-# 4096.
-MAX_TABLE_ROWS = 4096
+# Largest n for which a splitting table is built: the binomials C(n, d) of
+# its normalization check all fit in a float up to n = 1029, and
+# C(1030, 515) does not.  A table of n rows holds (n + 1)**2 floats: 8.5 MB
+# at 1029.
+MAX_TABLE_ROWS = 1029
 
 
 # Differences of order above this are evaluated through the integral
@@ -282,16 +285,6 @@ def _log_factorials(n: int) -> np.ndarray:
     return table[:n + 1]
 
 
-def _first_block_log_rows(rule, n: int):
-    """Yield log C(m, d) q(m - d, d), d = 1..m, for m = n down to 1, from the
-    rows of log splitting probabilities that ``rule`` (an index or a
-    SplittingTable) gives."""
-    lf = _log_factorials(n)
-    for logq in rule._log_split_rows(n):
-        m = len(logq)
-        yield lf[m] - lf[1:m + 1] - lf[m - 1::-1] + logq
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -327,6 +320,15 @@ def _first_block_reader(rule, n: int):
     def row(m: int) -> np.ndarray:
         return lf[m] - lf[1:m + 1] - lf[m - 1::-1] + read(m)
     return row
+
+
+def _first_block_log_rows(rule, n: int):
+    """Yield log C(m, d) q(m - d, d), d = 1..m, for m = n down to 1: the rows
+    of ``_first_block_reader`` less their constant, log unit_total_rate(m)
+    (1 for a SplittingTable, whose rows are probabilities already)."""
+    row = _first_block_reader(rule, n)
+    for m in range(n, 0, -1):
+        yield row(m) - math.log(rule.unit_total_rate(m))
 
 
 def _draw_block_sizes(logw: np.ndarray, u):
@@ -445,23 +447,6 @@ class CharacteristicIndex:
                 row = np.logaddexp(row[1:], row[:-1])
             return row
         return read
-
-    def _log_rate_rows(self, n: int):
-        """Yield log unit_block_rate(m - d, d), d = 1..m, for m = n to 1."""
-        read = self._log_row_reader(n)
-        for m in range(n, 0, -1):
-            yield read(m)
-
-    def _log_split_rows(self, n: int):
-        """Yield log split_prob(m - d, d), d = 1..m, for m = n down to 1."""
-        for row in self._log_rate_rows(n):
-            yield row - math.log(self.unit_total_rate(len(row)))
-
-    def first_block_log_weights(self, m: int) -> np.ndarray:
-        """log of C(m, d) * split_prob(m - d, d) for d = 1..m."""
-        if m < 1:
-            raise ParameterError("need at least one individual at risk")
-        return next(_first_block_log_rows(self, m))
 
     def describe(self) -> str:
         """Family name plus named parameters, as a small text record."""
@@ -1038,34 +1023,28 @@ class SplittingTable:
                 return np.log(self.probs[m - d[:m], d[:m]])
         return read
 
-    def _log_split_rows(self, n: int):
-        """Yield log q(m - d, d), d = 1..m, for m = n down to 1."""
-        read = self._log_row_reader(n)
-        for m in range(n, 0, -1):
-            yield read(m)
-
-    def first_block_weights(self, m: int) -> np.ndarray:
-        """C(m, d) * q(m - d, d) for d = 1..m."""
-        if not (1 <= m <= self.max_n):
-            raise ParameterError(f"m must lie in 1..{self.max_n}, got {m}")
-        d = np.arange(1, m + 1)
-        comb = np.array([float(math.comb(m, int(di))) for di in d])
-        return comb * self.probs[m - d, d]
+    def unit_total_rate(self, n: int) -> float:
+        """1: the table's rows are splitting probabilities, not rates."""
+        return 1.0
 
 
-def build_table(index: CharacteristicIndex, max_n: int,
-                tol: float = 1e-8) -> SplittingTable:
+# Largest normalization defect a built table may show.
+_TABLE_TOL = 1e-8
+
+
+def build_table(index: CharacteristicIndex, max_n: int) -> SplittingTable:
     """Tabulate q(r, d) for r + d <= max_n, validating row normalization
     against the index's own total rates."""
     if max_n < 1:
         raise ParameterError(f"max_n must be >= 1, got {max_n}")
     if max_n > MAX_TABLE_ROWS:
-        raise ResourceError(f"{max_n} rows exceed the {MAX_TABLE_ROWS} "
-                            "that may be kept at once")
+        raise ResourceError(f"{max_n} rows exceed {MAX_TABLE_ROWS}: above "
+                            "that the binomials C(n, d) overflow a float")
     q = np.full((max_n + 1, max_n + 1), np.nan)
     d = np.arange(1, max_n + 1)
-    for logq in index._log_split_rows(max_n):
-        m = len(logq)
+    read = index._log_row_reader(max_n)
+    for m in range(max_n, 0, -1):
+        logq = read(m) - math.log(index.unit_total_rate(m))
         row = np.minimum(np.exp(logq), 1.0)
         bad = np.flatnonzero(~np.isfinite(row))
         if bad.size:
@@ -1075,20 +1054,28 @@ def build_table(index: CharacteristicIndex, max_n: int,
         q[m - d[:m], d[:m]] = row
     table = SplittingTable(max_n=max_n, probs=q)
     defect = normalization_defect(table)
-    if defect > tol:
+    if defect > _TABLE_TOL:
         raise NumericError(
             f"table rows violate normalization (max defect {defect:.3g})")
     return table
 
 
 def normalization_defect(table: SplittingTable, n: Optional[int] = None) -> float:
-    """Max over rows of |sum_d C(n,d) q(n-d,d) - 1|; a single row if n given."""
-    rows = [n] if n is not None else range(1, table.max_n + 1)
+    """Max over rows of |sum_d C(n,d) q(n-d,d) - 1|; a single row if n given.
+    Binomial row m is row m - 1 plus itself shifted (Pascal's rule), in
+    floats, which hold every C(n, d) up to n = MAX_TABLE_ROWS."""
+    top = table.max_n if n is None else n
+    if not 1 <= top <= min(table.max_n, MAX_TABLE_ROWS):
+        raise ParameterError(f"row {top} outside table range")
+    comb = np.zeros(top + 1)
+    comb[0] = 1.0
+    d = np.arange(1, top + 1)
     worst = 0.0
-    for m in rows:
-        if not (1 <= m <= table.max_n):
-            raise ParameterError(f"row {m} outside table range")
-        worst = max(worst, abs(math.fsum(table.first_block_weights(m)) - 1.0))
+    for m in range(1, top + 1):
+        comb[1:m + 1] = comb[1:m + 1] + comb[:m]
+        if n is None or m == n:
+            weights = comb[1:m + 1] * table.probs[m - d[:m], d[:m]]
+            worst = max(worst, abs(math.fsum(weights) - 1.0))
     return worst
 
 

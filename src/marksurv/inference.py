@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from statistics import NormalDist
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -53,11 +53,15 @@ __all__ = [
 FITTED_FAMILIES = tuple(name for name, cls in FAMILIES.items()
                         if [f.name for f in fields(cls)] == ["nu", "rho"])
 
-# Default profile grid on log rho; wide because the profile is typically
-# flat far from the origin.
+# Profile grid on log rho; wide because the profile is typically flat far
+# from the origin.
 _PROFILE_GRID = (-3.0, 8.0, 60)
 # Bracket of log rho searched for the moment equation's root.
 _MOMENT_BRACKET = (-20.0, 25.0)
+# The moment iteration stops once log rho moves by less than _MOMENT_TOL,
+# and fails after _MOMENT_MAX_ITER steps.
+_MOMENT_TOL = 1e-8
+_MOMENT_MAX_ITER = 200
 
 
 def family_index(family: str, rho: float, nu: float = 1.0) -> CharacteristicIndex:
@@ -293,13 +297,18 @@ def _brentq(f: Callable[[float], float], xa: float, xb: float,
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # In C the quotient is infinite or NaN, a step the test
+                # below rejects, so the method bisects.
+                stry = math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry
             else:
@@ -374,7 +383,6 @@ def _fit_at(data: Dataset, family: str, method: str, rho: float,
 
 
 def fit_mle(data: Dataset, family: str,
-            rho_grid: Optional[Sequence[float]] = None,
             fix_rho: Optional[float] = None) -> FitResult:
     """Maximum likelihood over (rho, nu).
 
@@ -399,11 +407,7 @@ def fit_mle(data: Dataset, family: str,
             profile=((rho, _profile_from_sums(k, sums)),),
             fixed_rho=True)
 
-    if rho_grid is None:
-        lo, hi, count = _PROFILE_GRID
-        grid = np.linspace(lo, hi, count)
-    else:
-        grid = np.log(np.asarray(sorted(rho_grid), dtype=float))
+    grid = np.linspace(*_PROFILE_GRID)
     values = np.array([profile_loglik(data, family, math.exp(g))
                        for g in grid])
     best = int(np.argmax(values))
@@ -418,8 +422,7 @@ def fit_mle(data: Dataset, family: str,
                    boundary_warning=boundary)
 
 
-def fit_moment(data: Dataset, family: str, tol: float = 1e-8,
-               max_iter: int = 200) -> FitResult:
+def fit_moment(data: Dataset, family: str) -> FitResult:
     """Moment-style fit: alternate the closed-form scale estimate with the
     one-dimensional root matching the observed death count to the implied
     per-individual rate times total risk time."""
@@ -435,7 +438,7 @@ def fit_moment(data: Dataset, family: str, tol: float = 1e-8,
     target = deaths / _risk_time(traj)
 
     log_rho = 0.0
-    for _ in range(max_iter):
+    for _ in range(_MOMENT_MAX_ITER):
         nu = mle_nu_given_rho(data, family, math.exp(log_rho))
 
         def gap(g: float, _nu=nu) -> float:
@@ -443,7 +446,7 @@ def fit_moment(data: Dataset, family: str, tol: float = 1e-8,
             return _nu * idx.unit_total_rate(1) - target
 
         new_log_rho = _brentq(gap, *_MOMENT_BRACKET)
-        if abs(new_log_rho - log_rho) < tol:
+        if abs(new_log_rho - log_rho) < _MOMENT_TOL:
             log_rho = new_log_rho
             break
         log_rho = new_log_rho

@@ -115,6 +115,19 @@ def test_overflowing_time_exits_with_data_code(tmp_path, capsys, command):
     assert err.startswith("data error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("method", ["moment", "both"])
+def test_moment_fit_at_huge_times_exits_ok(tmp_path, capsys, method):
+    # Rates and the moment target near 1e-300: an interpolation step of the
+    # root finder divides by an underflowed 0 and must bisect instead.
+    src = tmp_path / "huge.csv"
+    src.write_text("time,status\n1e300,1\n1e300,1\n2e300,1\n")
+    for family in ("harmonic", "gamma"):
+        code = run(["fit", "--data", src, "--family", family,
+                    "--method", method, "--out", tmp_path / "fit.json"])
+        assert code == 0
+        assert "moment" in json.loads((tmp_path / "fit.json").read_text())
+
+
 def test_fit_both_builds_the_trajectory_once(tmp_path, capsys, monkeypatch):
     from marksurv import inference
     builds = []
@@ -201,6 +214,7 @@ def test_usage_error_on_bad_grid(tmp_path, capsys):
     (["predict", "--data", "builtin:gehan", "--grid", "0:inf:1"], "grid"),
     (["predict", "--data", "builtin:gehan", "--grid", "nan:1:0.1"], "grid"),
     (["predict", "--data", "builtin:gehan", "--grid", "0:1:inf"], "grid"),
+    (["predict", "--data", "builtin:gehan", "--grid", "0:1e30:1"], "grid"),
     (["blocks", "--n-list", "5,x", "--seed", 1], "n list"),
     (["simulate", "--family", "gamma", "--rho", "inf", "-n", 3,
       "--seed", 1], "rho"),
@@ -208,7 +222,8 @@ def test_usage_error_on_bad_grid(tmp_path, capsys):
     (["simulate", "--family", "harmonic", "--rho", "inf", "-n", 3,
       "--seed", 1], "rho"),
 ], ids=["grid end nan", "grid end inf", "grid start nan", "grid step inf",
-        "n list", "gamma rho inf", "nu inf", "harmonic rho inf"])
+        "grid too long", "n list", "gamma rho inf", "nu inf",
+        "harmonic rho inf"])
 def test_non_finite_or_malformed_option_is_a_usage_error(tmp_path, capsys,
                                                          argv, named):
     code = run([*argv, "--out", tmp_path / "x.csv"])

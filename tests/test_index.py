@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -235,6 +236,22 @@ def test_normalization_detects_perturbation():
     assert normalization_defect(tab, 5) > 1e-3
 
 
+def test_normalization_defect_equals_exact_sum_up_to_the_row_cap():
+    # The cap is the largest n whose binomials C(n, d) all fit in a float.
+    assert MAX_TABLE_ROWS == 1029
+    assert math.isfinite(float(math.comb(1029, 514)))
+    with pytest.raises(OverflowError):
+        float(math.comb(1030, 515))
+    # Binomials by Pascal's rule in floats against exact ones, both times
+    # the stored probabilities; row 984 holds the table's largest defect.
+    tab = build_table(HarmonicIndex(1.0, 1.0), MAX_TABLE_ROWS)
+    for m in (57, 984, 1029):
+        exact = sum(math.comb(m, d) * Fraction(tab.probs[m - d, d])
+                    for d in range(1, m + 1)) - 1
+        assert abs(normalization_defect(tab, m) - abs(exact)) <= 1e-15
+    assert normalization_defect(tab) == normalization_defect(tab, 984)
+
+
 @pytest.mark.parametrize("index", BUILTINS, ids=lambda ix: ix.describe())
 def test_consistency_defect_small(index):
     tab = build_table(index, 41)
@@ -325,7 +342,8 @@ FILLED = [GammaIndex(1.0, 1.0), GammaIndex(2.0, 7.5), PowerIndex(0.5),
                          ids=lambda ix: type(ix).__name__)
 def test_filled_rows_match_entrywise_rates(index):
     n = 30
-    rows = list(index._log_rate_rows(n))
+    read = index._log_row_reader(n)
+    rows = [read(m) for m in range(n, 0, -1)]
     assert [len(row) for row in rows] == list(range(n, 0, -1))
     for row in rows:
         m = len(row)
@@ -341,8 +359,9 @@ def test_filled_rows_match_entrywise_rates(index):
 def test_filled_rows_match_high_precision_differences(index):
     n = 30
     seq = mp_sequence(index)
+    read = index._log_row_reader(n)
     with mp.workdps(60):
-        for row in index._log_rate_rows(n):
+        for row in map(read, range(n, 0, -1)):
             m = len(row)
             exact = np.array([math.log(mp_rate(seq, m - d, d))
                               for d in range(1, m + 1)])

@@ -508,6 +508,21 @@ def test_root_finder_equals_scipy_brentq_bit_for_bit():
             ours = _port_or_error(gap, *inference._MOMENT_BRACKET)
             assert ours == _scipy_or_error(gap, *inference._MOMENT_BRACKET)
             compared += ours != "no sign change"
+    # The first moment equations of the times 1e300, 1e300, 2e300: rates
+    # and target near 1e-300, so an interpolation denominator underflows
+    # to 0 and the step bisects, as in scipy.
+    huge = Dataset.from_records([(1e300, 1), (1e300, 1), (2e300, 1)])
+    target = 3 / inference._risk_time(huge.trajectory)
+    for family in ("harmonic", "gamma"):
+        nu = mle_nu_given_rho(huge, family, 1.0)
+
+        def gap(g, _nu=nu, _f=family):
+            return (_nu * inference.family_index(_f, math.exp(g))
+                    .unit_total_rate(1) - target)
+
+        ours = _port_or_error(gap, *inference._MOMENT_BRACKET)
+        assert ours == _scipy_or_error(gap, *inference._MOMENT_BRACKET)
+        assert isinstance(ours, float)
     for f, lo, hi in _monotone_cases(rng, 2500):
         ours = _port_or_error(f, lo, hi)
         assert ours == _scipy_or_error(f, lo, hi), (lo, hi)

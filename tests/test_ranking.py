@@ -171,6 +171,18 @@ def test_first_block_distribution_matches_table():
                                rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("index", [
+    HarmonicIndex(1.0, 1.0), BetaSplitIndex(1.0, -0.5), GeometricIndex(0.3),
+    GammaIndex(1.0, 1.0), PowerIndex(0.5),
+], ids=lambda ix: type(ix).__name__)
+def test_expected_blocks_of_index_matches_its_table(index):
+    # Both come from _first_block_reader: the index's rows less log psi(m),
+    # the table's from the probabilities it stored.
+    n = 300
+    assert expected_blocks(n, index) == pytest.approx(
+        expected_blocks(n, build_table(index, n)), rel=1e-12, abs=0)
+
+
 def test_first_block_mean_beta_positive():
     # The limiting first-block fraction for the beta-type rule has mean
     # beta / (rho + beta); check the sampled mean at n = 10**4.
