@@ -259,6 +259,10 @@ def main(argv=None) -> int:
     except (NumericError, ResourceError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"numeric error: out of memory{detail}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":  # pragma: no cover

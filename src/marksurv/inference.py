@@ -62,6 +62,14 @@ _MOMENT_BRACKET = (-20.0, 25.0)
 # and fails after _MOMENT_MAX_ITER steps.
 _MOMENT_TOL = 1e-8
 _MOMENT_MAX_ITER = 200
+# The golden-section search on log rho stops once its bracket is this narrow.
+_GOLDEN_TOL = 1e-6
+# Brent's method stops as scipy.optimize.brentq does by default.
+_BRENT_XTOL = 1e-12
+_BRENT_RTOL = 4 * math.ulp(1.0)
+_BRENT_MAX_ITER = 100
+# Step of the central-difference Hessian in (log rho, log nu).
+_HESSIAN_STEP = 1e-4
 
 
 def family_index(family: str, rho: float, nu: float = 1.0) -> CharacteristicIndex:
@@ -246,15 +254,14 @@ class FitResult:
         return json.dumps(self.to_dict(), **kw)
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-6) -> float:
+def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Golden-section maximizer on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > _GOLDEN_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -266,9 +273,7 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (a + b)
 
 
-def _brentq(f: Callable[[float], float], xa: float, xb: float,
-            xtol: float = 1e-12, rtol: float = 4 * math.ulp(1.0),
-            maxiter: int = 100) -> float:
+def _brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
     """Root of f on [xa, xb], where f changes sign, by Brent's method step
     for step as scipy.optimize.brentq takes it (inverse quadratic or secant
     steps inside the bracket, else bisection), so the root agrees with
@@ -285,14 +290,14 @@ def _brentq(f: Callable[[float], float], xa: float, xb: float,
         raise NumericError(f"no sign change on [{xa:g}, {xb:g}]: "
                            f"f = {fpre:.6g}, {fcur:.6g}")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAX_ITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
@@ -323,11 +328,12 @@ def _brentq(f: Callable[[float], float], xa: float, xb: float,
         fcur = f(xcur)
         if math.isnan(fcur):
             raise NumericError(f"root search met NaN at {xcur!r}")
-    raise NumericError(f"root search failed to converge in {maxiter} steps")
+    raise NumericError(
+        f"root search failed to converge in {_BRENT_MAX_ITER} steps")
 
 
-def _hessian_2d(f: Callable[[np.ndarray], float], x: np.ndarray,
-                h: float = 1e-4) -> np.ndarray:
+def _hessian_2d(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
+    h = _HESSIAN_STEP
     hess = np.empty((2, 2))
     f0 = f(x)
     for i in range(2):

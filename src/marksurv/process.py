@@ -125,10 +125,8 @@ class RiskSetTrajectory:
 
     @cached_property
     def total_risk_time(self) -> float:
-        """Time at risk summed over individuals, in event order as a running
-        total would be; it may overflow to inf."""
-        return sum(m * t for m, t in zip(self.at_risk.tolist(),
-                                         self.span.tolist()))
+        """Time at risk summed over individuals; it may overflow to inf."""
+        return _path_integral(float, self.at_risk, self.span)
 
     @cached_property
     def _blocks(self) -> np.ndarray:
@@ -311,23 +309,18 @@ def simulate(n: int, index: CharacteristicIndex,
     return RiskSetTrajectory(alive.size, tuple(events))
 
 
-# Below this many events log_density takes its block rates per event.  Timed
-# by block count on 1- to 64-block trajectories: one array call costs 3-15 us
-# more than the calls it replaces where the family has no array rule
-# (harmonic, power), gamma's array rule costs about 0.1 ms once a block has
-# d >= 2, and from 32 blocks the array call is as fast or faster for every
-# family with an array rule (gamma, geometric, beta).  Events bound the
-# blocks from above and are counted before the loop, which keeps the
-# 1- and 2-event trajectories of density integrals at their per-event cost.
-_FEW_EVENTS = 32
+def _path_integral(rate: Callable[[int], float], at_risk: np.ndarray,
+                   span: np.ndarray) -> float:
+    """The integral of rate(m) along a risk-set path that has at_risk[i]
+    individuals at risk for span[i], summed in order as a running total
+    would be."""
+    return sum(rate(m) * t for m, t in zip(at_risk.tolist(), span.tolist()))
 
 
 def _unit_rate_integral(traj: RiskSetTrajectory,
                         index: CharacteristicIndex) -> float:
-    """U: the unit total rate integrated along the trajectory, summed in
-    event order as a running total would be."""
-    return sum(index.unit_total_rate(m) * t
-               for m, t in zip(traj.at_risk.tolist(), traj.span.tolist()))
+    """U: the unit total rate integrated along the trajectory."""
+    return _path_integral(index.unit_total_rate, traj.at_risk, traj.span)
 
 
 def _log_density_sums(traj: RiskSetTrajectory, index: CharacteristicIndex):
@@ -346,32 +339,16 @@ def _log_likelihood(k: int, nu: float, sums) -> float:
 
 def log_density(traj: RiskSetTrajectory, index: CharacteristicIndex) -> float:
     """Exact log density of a trajectory: minus the integrated total rate
-    plus one block-rate term per failure time.
+    plus one block-rate term per failure time, the block rates all from one
+    rate call.
 
     Censorings alter the integral through the risk-set path but contribute
     no product term.  A structurally impossible trajectory (a tied block the
     index forbids) returns -inf rather than raising, so optimizers can
-    reject the parameter point.  With _FEW_EVENTS events or more the block
-    rates come from one rate call.
+    reject the parameter point.
     """
-    if len(traj.events) >= _FEW_EVENTS:
-        return _log_likelihood(traj.num_failure_times, index.scale,
-                               _log_density_sums(traj, index))
-    integral = 0.0
-    logprod = 0.0
-    log_scale = math.log(index.scale)
-    alive = traj.n_initial
-    t_prev = 0.0
-    for e in traj.events:
-        integral += index.total_rate(alive) * (e.time - t_prev)
-        if e.n_failures > 0:
-            lr = index.log_unit_block_rate(alive - e.n_failures, e.n_failures)
-            if lr == -math.inf:
-                return -math.inf
-            logprod += log_scale + lr
-        alive -= e.n_failures + e.n_censored
-        t_prev = e.time
-    return -integral + logprod
+    return _log_likelihood(traj.num_failure_times, index.scale,
+                           _log_density_sums(traj, index))
 
 
 def _survival_pieces(history: RiskSetTrajectory, index: CharacteristicIndex):
@@ -404,7 +381,7 @@ def predictive_survival(t, history: RiskSetTrajectory,
     off, so the curve decays to zero.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0.0):
+    if not np.all(t_arr >= 0.0):
         raise ParameterError("t must be >= 0")
     knots, haz, cum_h, cum_atoms = _survival_pieces(history, index)
     idx = np.searchsorted(knots, t_arr, side="right") - 1
@@ -480,7 +457,7 @@ def simulate_seeded(seed_traj: RiskSetTrajectory, m_new: int,
 def residual_trajectory(traj: RiskSetTrajectory, t: float) -> RiskSetTrajectory:
     """Trajectory of the individuals still at risk after time t, with the
     clock restarted at t."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ParameterError("t must be >= 0")
     removed = 0
     kept = []
@@ -523,11 +500,9 @@ def log_density_semimarkov(traj: RiskSetTrajectory,
     """Log density of a time-changed trajectory: pull the times back to the
     homogeneous scale and add one log-Jacobian term per failure time."""
     base = transform_times(traj, tf.inverted())
-    jac = 0.0
-    for e in traj.events:
-        if e.n_failures > 0:
-            jac -= math.log(tf.derivative(tf.inverse(e.time)))
-    return log_density(base, index) + jac
+    log_jac = sum(math.log(tf.derivative(tf.inverse(t)))
+                  for t in traj.fail_time.tolist())
+    return log_density(base, index) - log_jac
 
 
 def trajectory_to_csv(traj: RiskSetTrajectory) -> str:

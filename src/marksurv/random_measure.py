@@ -190,14 +190,10 @@ def joint_survival(times: Sequence[float], index: CharacteristicIndex) -> float:
         raise ParameterError("times must be finite")
     if t.size and t[0] < 0.0:
         raise ParameterError("times must be >= 0")
-    acc = 0.0
-    prev = 0.0
-    m = t.size
-    for ti in t:
-        acc += index.total_rate(m) * (ti - prev)
-        prev = ti
-        m -= 1
-    return math.exp(-acc)
+    unit = process._path_integral(index.unit_total_rate,
+                                  np.arange(t.size, 0, -1),
+                                  np.diff(t, prepend=0.0))
+    return math.exp(-index.scale * unit)
 
 
 def gamma_interval_totals(nu: float, rho: float, breaks: Sequence[float],

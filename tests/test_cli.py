@@ -172,6 +172,31 @@ def test_unwritable_output_exits_with_data_code(tmp_path, capsys):
     assert err.startswith("i/o error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, callee", [
+    (["simulate", "-n", 1_000_000_000_000, "--seed", 1], "simulate"),
+    (["blocks", "--n-list", 1_000_000_000_000, "--reps", 2, "--seed", 1],
+     "block_growth_probe"),
+])
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+    "and data type float64", ""])
+def test_out_of_memory_exits_with_numeric_code(tmp_path, capsys, monkeypatch,
+                                               argv, callee, message):
+    # The callee raises MemoryError in place of attempting the allocation.
+    from marksurv import cli, ranking
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli if callee == "simulate" else ranking, callee,
+                        exhausted)
+    assert run([*argv, "--out", tmp_path / "x.csv"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: out of memory")
+    assert err.count("\n") == 1 and message in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_predict_curves(tmp_path, capsys):
     out = tmp_path / "curves.csv"
     assert run(["predict", "--data", "builtin:gehan", "--grid", "0:40:1",

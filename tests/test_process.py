@@ -339,27 +339,16 @@ LONG = [HarmonicIndex(1.3, 2.0), GammaIndex(0.7, 3.0), PowerIndex(0.6),
         BetaSplitIndex(2.0, 0.5), GeometricIndex(0.4)]
 
 
+@pytest.mark.parametrize("events", [48, 12, 1])
 @pytest.mark.parametrize("index", LONG, ids=lambda ix: ix.describe())
-def test_long_trajectory_density_takes_rates_from_one_call(index,
-                                                           monkeypatch):
-    traj = _long_history(31)
-    assert len(traj.events) >= process._FEW_EVENTS
+def test_density_takes_rates_from_one_call(index, events, monkeypatch):
+    full = _long_history(31)
+    traj = RiskSetTrajectory(full.n_initial, full.events[:events])
+    assert traj.num_failure_times > 0
     expect = _per_event_log_density(traj, index)
     calls = _count_array_calls(monkeypatch, index)
     assert log_density(traj, index) == pytest.approx(expect, rel=1e-12)
     assert calls == [traj.num_failure_times]
-
-
-@pytest.mark.parametrize("index", LONG, ids=lambda ix: ix.describe())
-def test_short_trajectory_density_takes_rates_per_event(index, monkeypatch):
-    full = _long_history(31)
-    traj = RiskSetTrajectory(full.n_initial, full.events[:12])
-    assert traj.num_failure_times > 0
-    assert len(traj.events) < process._FEW_EVENTS
-    expect = _per_event_log_density(traj, index)
-    calls = _count_array_calls(monkeypatch, index)
-    assert log_density(traj, index) == pytest.approx(expect, rel=1e-12)
-    assert calls == []
 
 
 @pytest.mark.parametrize("index", LONG, ids=lambda ix: ix.describe())
@@ -390,11 +379,9 @@ def test_predictive_takes_rates_from_one_call(index, monkeypatch):
         assert calls == [2 * hist.num_failure_times + len(hist.events) + 1]
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_density_integrates_to_one_two_particles():
     # structure {1,2} tied at t, plus {i}|{j} split at t1 < t2, summed and
-    # integrated via quadrature of the density itself; the diagonal guard
-    # trips scipy's difficulty warning but the accuracy is asserted below
+    # integrated via quadrature of the density itself
     def tie_density(t):
         return math.exp(log_density(
             RiskSetTrajectory(2, (Event(t, 2, 0),)), H11))
@@ -414,7 +401,6 @@ def test_density_integrates_to_one_two_particles():
     assert p_tie == pytest.approx(1.0 / 3.0, abs=1e-8)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_density_matches_simulation_histogram():
     rng = make_rng(15)
     reps = 1_000_000
@@ -449,9 +435,11 @@ def test_density_matches_simulation_histogram():
         for j in range(len(edges) - 1):
             if j < i:
                 continue
+            # On a diagonal cell t2 starts at t1, where the density jumps.
             expect, _ = integrate.dblquad(
                 split_density, edges[i], edges[i + 1],
-                lambda _t, lo=edges[j]: lo, lambda _t, hi=edges[j + 1]: hi)
+                (lambda t1: t1) if j == i else (lambda _t, lo=edges[j]: lo),
+                lambda _t, hi=edges[j + 1]: hi)
             assert abs(split_counts[i, j] / reps - expect) / expect < 0.05
 
 
@@ -464,6 +452,13 @@ def test_predictive_empty_history():
     ts = np.array([0.0, 0.5, 2.0])
     np.testing.assert_allclose(predictive_survival(ts, empty, H11),
                                np.exp(-ts), rtol=1e-12)
+
+
+@pytest.mark.parametrize("t", [math.nan, [0.5, math.nan], -1.0])
+def test_predictive_rejects_nan_or_negative_time(t):
+    hist = RiskSetTrajectory(3, (Event(1.0, 1, 0), Event(2.5, 2, 0)))
+    with pytest.raises(ParameterError, match="t must be >= 0"):
+        predictive_survival(t, hist, H11)
 
 
 def test_predictive_atom_factor_harmonic():
@@ -642,6 +637,13 @@ def test_residual_shifts_times():
     res = residual_trajectory(traj, 1.5)
     assert res.n_initial == 2
     assert res.events[0].time == 1.0 and res.events[0].n_failures == 2
+
+
+@pytest.mark.parametrize("t", [math.nan, -1.0])
+def test_residual_rejects_nan_or_negative_time(t):
+    traj = RiskSetTrajectory(3, (Event(1.0, 1, 0), Event(2.5, 2, 0)))
+    with pytest.raises(ParameterError, match="t must be >= 0"):
+        residual_trajectory(traj, t)
 
 
 def test_self_similarity_tie_probability():
