@@ -5,14 +5,16 @@ Its value at n is the total failure intensity of the risk-set chain while n
 individuals remain at risk, and its signed forward differences give the
 intensity attached to each possible block of simultaneous failures.  This
 module provides the built-in families, numerically stable difference
-evaluation (closed forms where available, scaled adaptive quadrature
-otherwise), splitting-rule tables with normalization/consistency
+evaluation (closed forms where available; for the gamma and power
+families a trapezoid rule over the Levy-measure integral, every rate of an
+array in one pass; scaled adaptive quadrature otherwise and as the
+fallback), splitting-rule tables with normalization/consistency
 diagnostics, and the conversions between the dislocation-measure and
 Levy-measure representations of the same process.
 
 Full tables and the block-count dynamic program need every rate in the
-triangle r + d <= n.  They evaluate only the outer diagonal r + d = n and
-fill the rest inward by the additive identity
+triangle r + d <= n.  They evaluate only the outer diagonal r + d = n, in
+one array call, and fill the rest inward by the additive identity
 lambda(r, d) = lambda(r, d + 1) + lambda(r + 1, d), a sum of non-negative
 terms with no cancellation; separable closed forms give each row directly.
 An index remembers each outer diagonal it evaluates, so samplers that read
@@ -83,9 +85,11 @@ class _LazyModule:
         return getattr(importlib.import_module(self._name), item)
 
 
-# scipy is loaded only where a path needs it: quadrature (the power family,
-# the gamma fallback, measures), beta rates and the random-measure route.
-# Closed-form rates, fits and predictions run on math and numpy alone.
+# scipy is loaded only where a path needs it: scalar quadrature (gamma and
+# power rates whose array rule misses its tolerance, single gamma and power
+# rates that the short alternating sum cannot give, measures), beta rates
+# and the random-measure route.  Closed-form and array-rule rates, fits and
+# predictions run on math and numpy alone.
 integrate = _LazyModule("scipy.integrate")
 special = _LazyModule("scipy.special")
 
@@ -414,12 +418,12 @@ class CharacteristicIndex:
         return self._log_rate_quad(r, d)
 
     def _log_diagonal(self, n: int) -> np.ndarray:
-        """log unit_block_rate(n - d, d), d = 1..n, evaluated entry by entry
-        through ``log_unit_block_rate`` once per instance, keyed by n."""
+        """log unit_block_rate(n - d, d), d = 1..n, from one ``_log_rates``
+        call once per instance, keyed by n."""
         memo = _memo(self)
         if n not in memo:
-            memo[n] = _read_only(np.array([self.log_unit_block_rate(n - d, d)
-                                           for d in range(1, n + 1)]))
+            d = np.arange(1, n + 1)
+            memo[n] = _read_only(self._log_rates(n - d, d))
         return memo[n]
 
     # Separable families set this to a method giving, for n, arrays a, b, c
@@ -431,9 +435,9 @@ class CharacteristicIndex:
         m <= n taken in non-increasing order.
 
         A separable family reads any row directly from its closed form.
-        Otherwise only diagonal n is evaluated entry by entry, at the first
-        read, and remembered; every inner row follows from the one outside
-        it by the additive identity, one vector step per row.
+        Otherwise only diagonal n is evaluated, in one ``_log_rates`` call
+        at the first read, and remembered; every inner row follows from the
+        one outside it by the additive identity, one vector step per row.
         """
         if self._log_terms is not None:
             return _separable_reader(*self._log_terms(n))
@@ -509,52 +513,72 @@ class HarmonicIndex(CharacteristicIndex):
 # Scaling probes for the gamma integrand in its rescaled variable.
 _GAMMA_PROBES = tuple(np.geomspace(1e-8, 200.0, 40).tolist()) + (1.0,)
 
-# The gamma array rule integrates the same integrand in u = log v, where it
-# is smooth, peaks at u = 0 and decays at least exponentially on both sides.
-# A coarse grid (step 0.5, through 0) brackets where the integrand exceeds
-# exp(-_GAMMA_DROP) times its peak; _GAMMA_NODES equally spaced nodes across
-# each bracket give the trapezoid rule, and every other node the rule at
-# twice the step.  Rates are computed _GAMMA_CHUNK at a time, so the work
-# arrays stay near a megabyte whatever the number asked.
-_GAMMA_COARSE = np.linspace(-48.0, 24.0, 145)
-_GAMMA_NODES = 257
-_GAMMA_DROP = 40.0
-_GAMMA_CHUNK = 128
+# Gamma and power block rates are integrals of one form,
+#   I(a, k, beta) = int_0^inf z**(-1 - beta) exp(-a z) (1 - exp(-z))**k dz,
+# with k >= 1 and beta < k.  The array rule integrates it in
+# u = log(z / log(1 + k / a)), where it is smooth, peaks near u = 0 (at
+# u = 0 for beta = 0) and decays at least exponentially on both sides.  A
+# coarse grid (step 0.5, through 0) brackets where the integrand exceeds
+# exp(-_TRAPEZOID_DROP) times its value at u = 0; _TRAPEZOID_NODES equally
+# spaced nodes across each bracket give the trapezoid rule, and every other
+# node the rule at twice the step.  Rates are computed _TRAPEZOID_CHUNK at a
+# time, so the work arrays stay near a megabyte whatever the number asked.
+_TRAPEZOID_COARSE = np.linspace(-48.0, 24.0, 145)
+_TRAPEZOID_NODES = 257
+_TRAPEZOID_DROP = 40.0
+_TRAPEZOID_CHUNK = 128
 
 
-def _gamma_trapezoid(a: np.ndarray, d: np.ndarray):
-    """Gamma block rates for a = rho + r and d >= 2 (1-d arrays), as
-    ``(log_peak, value, err)``: the log rate is log_peak + log(value), where
-    value is the integral relative to the peak and err the gap between the
-    trapezoid rules at step h and 2h.  An entry whose bracket is not closed
-    inside the coarse grid gets err = inf."""
-    a, d = a[:, None], d[:, None]
-    scale = np.log1p(d / a)
+def _trapezoid(a: np.ndarray, k: np.ndarray, beta: float) -> np.ndarray:
+    """log I(a, k, beta) for 1-d arrays a > 0 and k >= 1 and one beta, or
+    NaN where the trapezoid rules at step h and 2h differ by more than the
+    tolerance asked of the scalar quadrature or the bracket is not closed
+    inside the coarse grid."""
+    c = _TRAPEZOID_CHUNK
+    if len(a) > c:
+        return np.concatenate([_trapezoid(a[i:i + c], k[i:i + c], beta)
+                               for i in range(0, len(a), c)])
+    a, k = a[:, None], k[:, None]
+    scale = np.log1p(k / a)
     rate = a * scale
     base = np.expm1(-scale)
 
     def log_rel(u):
-        """log of the integrand at u less its peak, free of cancellation."""
-        return -rate * np.expm1(u) + d * np.log(np.expm1(-scale * np.exp(u))
-                                                / base)
+        """log of the integrand at u less its value at u = 0, free of
+        cancellation."""
+        out = -rate * np.expm1(u) + k * np.log(np.expm1(-scale * np.exp(u))
+                                               / base)
+        return out - beta * u if beta else out
 
     with np.errstate(over="ignore", under="ignore", divide="ignore",
                      invalid="ignore"):
-        above = log_rel(_GAMMA_COARSE) > -_GAMMA_DROP
-        top = len(_GAMMA_COARSE) - 1
+        above = log_rel(_TRAPEZOID_COARSE) > -_TRAPEZOID_DROP
+        top = len(_TRAPEZOID_COARSE) - 1
         first = above.argmax(axis=1)
         last = top - above[:, ::-1].argmax(axis=1)
-        lo = _GAMMA_COARSE[np.maximum(first - 1, 0)]
-        step = (_GAMMA_COARSE[np.minimum(last + 1, top)] - lo) \
-            / (_GAMMA_NODES - 1)
+        lo = _TRAPEZOID_COARSE[np.maximum(first - 1, 0)]
+        step = (_TRAPEZOID_COARSE[np.minimum(last + 1, top)] - lo) \
+            / (_TRAPEZOID_NODES - 1)
         f = np.exp(log_rel(lo[:, None]
-                           + step[:, None] * np.arange(_GAMMA_NODES)))
+                           + step[:, None] * np.arange(_TRAPEZOID_NODES)))
     ends = 0.5 * (f[:, 0] + f[:, -1])
     value = step * (f.sum(axis=1) - ends)
     err = np.abs(value - 2.0 * step * (f[:, ::2].sum(axis=1) - ends))
-    err[(first == 0) | (last == top)] = np.inf
-    log_peak = -rate[:, 0] + d[:, 0] * np.log(-base[:, 0])
-    return log_peak, value, err
+    ok = (err <= np.maximum(_QUAD_KW["epsabs"], _QUAD_KW["epsrel"] * value)) \
+        & (first > 0) & (last < top)
+    log_at_0 = (-rate[:, 0] + k[:, 0] * np.log(-base[:, 0])
+                - beta * np.log(scale[:, 0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(ok, log_at_0 + np.log(value), np.nan)
+
+
+def _quad_fallback(index, out: np.ndarray, r: np.ndarray,
+                   d: np.ndarray) -> np.ndarray:
+    """Recompute every non-finite entry of ``out`` (log rates at r, d) by the
+    index's scalar ``_log_rate_quad``, which checks its own convergence."""
+    for i in np.flatnonzero(~np.isfinite(out)).tolist():
+        out[i] = index._log_rate_quad(int(r[i]), int(d[i]))
+    return out
 
 
 @dataclass(frozen=True, repr=False)
@@ -586,26 +610,15 @@ class GammaIndex(CharacteristicIndex):
 
     def _log_rates(self, r: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Every requested rate in one array pass: d = 1 in closed form,
-        log log(1 + 1 / (rho + r)); larger blocks by the trapezoid rule of
-        ``_gamma_trapezoid``.  An entry whose error estimate exceeds the
-        tolerance asked of the scalar quadrature is recomputed by
-        ``_log_rate_quad``, which checks its own convergence."""
+        log log(1 + 1 / (rho + r)); larger blocks as I(rho + r, d, 0) by
+        the trapezoid rule of ``_trapezoid``.  An entry whose error
+        estimate misses the tolerance is recomputed by ``_log_rate_quad``."""
         a = self.rho + r.astype(float)
         dd = d.astype(float)
         out = np.log(np.log1p(1.0 / a))
-        redo = []
-        big = np.flatnonzero(dd > 1)
-        for lo in range(0, big.size, _GAMMA_CHUNK):
-            at = big[lo:lo + _GAMMA_CHUNK]
-            log_peak, value, err = _gamma_trapezoid(a[at], dd[at])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out[at] = log_peak + np.log(value)
-            ok = err <= np.maximum(_QUAD_KW["epsabs"],
-                                   _QUAD_KW["epsrel"] * value)
-            redo.extend(at[~(ok & np.isfinite(out[at]))].tolist())
-        for i in redo:
-            out[i] = self._log_rate_quad(int(r[i]), int(d[i]))
-        return out
+        big = dd > 1
+        out[big] = _trapezoid(a[big], dd[big], 0.0)
+        return _quad_fallback(self, out, r, d)
 
     def _log_rate_quad(self, r: int, d: int) -> float:
         a = self.rho + r
@@ -641,6 +654,29 @@ class PowerIndex(CharacteristicIndex):
 
     def unit_block_rate(self, r: int, d: int) -> float:
         return math.exp(self.log_unit_block_rate(r, d))
+
+    def _log_rates(self, r: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Every requested rate in one array pass: d = 1 in closed form,
+        log((r + 1)**alpha - r**alpha) = alpha log r
+        + log expm1(alpha log1p(1 / r)), and 0 at r = 0.  Larger blocks by
+        the trapezoid rule of ``_trapezoid``: alpha / Gamma(1 - alpha)
+        I(r, d, alpha) for r >= 1 and, integrated by parts,
+        d / Gamma(1 - alpha) I(1, d - 1, alpha - 1) at r = 0, whose
+        integrand decays exponentially.  An entry whose error estimate
+        misses the tolerance is recomputed by ``_log_rate_quad``."""
+        al = self.alpha
+        rr = r.astype(float)
+        dd = d.astype(float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(rr > 0, al * np.log(rr)
+                           + np.log(np.expm1(al * np.log1p(1.0 / rr))), 0.0)
+        lg = math.lgamma(1.0 - al)
+        inner = (dd > 1) & (rr > 0)
+        out[inner] = math.log(al) - lg + _trapezoid(rr[inner], dd[inner], al)
+        top = (dd > 1) & (rr == 0)
+        out[top] = np.log(dd[top]) - lg + _trapezoid(
+            np.ones(top.sum()), dd[top] - 1.0, al - 1.0)
+        return _quad_fallback(self, out, r, d)
 
     def _log_rate_quad(self, r: int, d: int) -> float:
         al = self.alpha

@@ -295,8 +295,10 @@ def test_import_leaves_out_scipy_stats():
     assert out.stdout.strip() == "False"
 
 
-# The README's closed-form commands (see README.md, CLI section).
-CLOSED_FORM_COMMANDS = {
+# The README's CLI commands (see README.md, CLI section); none loads scipy.
+NO_SCIPY_COMMANDS = {
+    "simulate power": ["simulate", "--family", "power", "--alpha", "0.9",
+                       "-n", "200", "--seed", "7", "--out", "traj.csv"],
     "fit harmonic": ["fit", "--data", "builtin:gehan", "--family",
                      "harmonic", "--method", "both", "--out", "fit.json"],
     "fit exponential": ["fit", "--data", "builtin:gehan", "--family",
@@ -309,12 +311,12 @@ CLOSED_FORM_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("argv", [None, *CLOSED_FORM_COMMANDS.values()],
-                         ids=["import", *CLOSED_FORM_COMMANDS])
+@pytest.mark.parametrize("argv", [None, *NO_SCIPY_COMMANDS.values()],
+                         ids=["import", *NO_SCIPY_COMMANDS])
 def test_closed_form_commands_load_no_scipy(tmp_path, argv):
-    # scipy is loaded only by paths that call into it (quadrature, beta
-    # rates, the random-measure route); importing it costs more than the
-    # work of any of these commands.
+    # scipy is loaded only by paths that call into it (the scalar quadrature
+    # fallback, beta rates, the random-measure route); importing it costs
+    # more than the work of any of these commands.
     env = dict(os.environ, MARKSURV_OUTDIR=str(tmp_path),
                PYTHONPATH=os.path.dirname(os.path.dirname(marksurv.__file__)))
     code = ("import sys, json, contextlib, io, marksurv.cli\n"

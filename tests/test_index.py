@@ -268,12 +268,12 @@ def test_consistency_detects_perturbation():
 
 
 def test_build_table_rejects_non_finite():
-    # The table reads diagonal r + d = 4 rate by rate and fills the rest.
+    # The table reads diagonal r + d = 4 in one rate call and fills the rest.
     class Broken(GammaIndex):
-        def log_unit_block_rate(self, r, d):
-            if (r, d) == (1, 3):
-                return math.nan
-            return super().log_unit_block_rate(r, d)
+        def _log_rates(self, r, d):
+            out = super()._log_rates(r, d)
+            out[(r == 1) & (d == 3)] = math.nan
+            return out
 
     with pytest.raises(NumericError, match=r"q\(1,3\)"):
         build_table(Broken(1.0, 1.0), 4)
@@ -370,21 +370,21 @@ def test_filled_rows_match_high_precision_differences(index):
 
 def test_gamma_block_count_reads_one_diagonal(monkeypatch):
     calls = {"rate": 0, "quad": 0}
-    rate = GammaIndex.log_unit_block_rate
+    rate = GammaIndex._log_rates
     quad = index_mod.integrate.quad
 
     def counted_rate(self, r, d):
-        calls["rate"] += 1
+        calls["rate"] += len(d)
         return rate(self, r, d)
 
     def counted_quad(*args, **kwargs):
         calls["quad"] += 1
         return quad(*args, **kwargs)
 
-    monkeypatch.setattr(GammaIndex, "log_unit_block_rate", counted_rate)
+    monkeypatch.setattr(GammaIndex, "_log_rates", counted_rate)
     monkeypatch.setattr(index_mod.integrate, "quad", counted_quad)
     expected_blocks(64, GammaIndex(1.0, 1.0))
-    assert calls["rate"] <= 64
+    assert calls["rate"] == 64
     assert calls["quad"] <= 64
 
 
@@ -566,17 +566,17 @@ def test_array_rates_match_entrywise_rates(name, log_rho, alpha, beta, pairs):
     assert np.all(np.abs(got[~zero] - direct[~zero]) <= 5e-12)
 
 
-def mp_gamma_log_rate(rho, r, d, approx):
-    """log lambda(r, d) of the gamma family by the alternating sum of
-    log(1 + n / rho) in mpmath, with the digits the sum loses (estimated
-    from ``approx``, the float value under test) plus 30."""
-    lost = (d * math.log10(2.0) + (math.log(math.log1p((r + d) / rho))
+def mp_log_rate(index, r, d, approx):
+    """log lambda(r, d) by the alternating sum of the index sequence in
+    mpmath, with the digits the sum loses (estimated from ``approx``, the
+    float value under test) plus 30."""
+    lost = (d * math.log10(2.0) + (math.log(index.unit_total_rate(r + d))
                                    - approx) / math.log(10.0))
+    seq = mp_sequence(index)
     with mp.workdps(30 + int(lost)):
-        rho_mp = mp.mpf(rho)
         total, comb = mp.mpf(0), mp.mpf(1)
         for j in range(d + 1):
-            total += (-1) ** (j + 1) * comb * mp.log1p((r + j) / rho_mp)
+            total += (-1) ** (j + 1) * comb * seq(r + j)
             comb = comb * (d - j) / (j + 1)
         return float(mp.log(total))
 
@@ -595,44 +595,76 @@ GAMMA_MP_CASES = {
 @pytest.mark.parametrize("rho", sorted(GAMMA_MP_CASES))
 def test_gamma_array_rule_matches_high_precision_differences(rho):
     pairs = GAMMA_MP_CASES[rho]
-    got = GammaIndex(1.0, rho)._log_rates(np.array([p[0] for p in pairs]),
-                                          np.array([p[1] for p in pairs]))
+    ix = GammaIndex(1.0, rho)
+    got = ix._log_rates(np.array([p[0] for p in pairs]),
+                        np.array([p[1] for p in pairs]))
     for (r, d), v in zip(pairs, got):
-        assert abs(v - mp_gamma_log_rate(rho, r, d, v)) <= 1e-12
+        assert abs(v - mp_log_rate(ix, r, d, v)) <= 1e-12
 
 
-def _plant_failed_estimates(monkeypatch, sizes):
-    """Make the gamma array rule report an infinite error estimate for every
-    block whose size is in ``sizes``."""
-    rule = index_mod._gamma_trapezoid
-
-    def planted(a, d):
-        log_peak, value, err = rule(a, d)
-        return log_peak, value, np.where(np.isin(d, sizes), np.inf, err)
-
-    monkeypatch.setattr(index_mod, "_gamma_trapezoid", planted)
+# The d = 1 closed form, the r = 0 entries (integrated by parts) and the
+# general rule at both ends of r and d.
+POWER_MP_PAIRS = [(0, 1), (1, 1), (37, 1), (1500, 1), (0, 2), (0, 45),
+                  (0, 600), (1, 2), (1, 600), (1500, 2), (1500, 300),
+                  (37, 45), (700, 120)]
 
 
-def test_gamma_failed_estimates_go_to_scalar_quadrature(monkeypatch):
-    ix = GammaIndex(1.0, 3.0)
-    r = np.array([0, 5, 12, 40, 3, 7, 900])
-    d = np.array([2, 9, 1, 30, 4, 2, 9])
+@pytest.mark.parametrize("alpha", [0.02, 0.3, 0.7, 0.99])
+def test_power_array_rule_matches_high_precision_differences(alpha):
+    ix = PowerIndex(alpha)
+    got = ix._log_rates(np.array([p[0] for p in POWER_MP_PAIRS]),
+                        np.array([p[1] for p in POWER_MP_PAIRS]))
+    for (r, d), v in zip(POWER_MP_PAIRS, got):
+        assert abs(v - mp_log_rate(ix, r, d, v)) <= 1e-12
+
+
+def _plant_failed_estimates(monkeypatch, ks):
+    """Make the array rule report a failed error estimate (NaN) for every
+    integral I(a, k, beta) with k in ``ks``."""
+    rule = index_mod._trapezoid
+
+    def planted(a, k, beta):
+        return np.where(np.isin(k, ks), np.nan, rule(a, k, beta))
+
+    monkeypatch.setattr(index_mod, "_trapezoid", planted)
+
+
+def _check_failed_estimates(monkeypatch, ix, r, d, expected):
+    """Only the entries planted as failed reach ``_log_rate_quad``, in order,
+    and they agree with the array rule's own answer."""
     calls = []
-    quad = GammaIndex._log_rate_quad
+    quad = type(ix)._log_rate_quad
 
     def recorded(self, r, d):
         calls.append((r, d))
         return quad(self, r, d)
 
-    monkeypatch.setattr(GammaIndex, "_log_rate_quad", recorded)
+    monkeypatch.setattr(type(ix), "_log_rate_quad", recorded)
     clean = ix._log_rates(r, d)
     assert calls == []
     _plant_failed_estimates(monkeypatch, [9, 30])
     got = ix._log_rates(r, d)
-    assert calls == [(5, 9), (40, 30), (900, 9)]
-    redone = np.isin(d, [9, 30])
+    assert calls == expected
+    redone = np.array([pair in expected
+                       for pair in zip(r.tolist(), d.tolist())])
     assert np.array_equal(got[~redone], clean[~redone])
     assert np.all(np.abs(got[redone] - clean[redone]) <= 5e-12)
+
+
+def test_gamma_failed_estimates_go_to_scalar_quadrature(monkeypatch):
+    r = np.array([0, 5, 12, 40, 3, 7, 900])
+    d = np.array([2, 9, 1, 30, 4, 2, 9])
+    _check_failed_estimates(monkeypatch, GammaIndex(1.0, 3.0), r, d,
+                            [(5, 9), (40, 30), (900, 9)])
+
+
+def test_power_failed_estimates_go_to_scalar_quadrature(monkeypatch):
+    # At r = 0 the rule integrates I(1, d - 1, alpha - 1), so (0, 10) is
+    # planted through k = 9 and (0, 9) is not.
+    r = np.array([0, 5, 12, 40, 0, 7, 900, 0])
+    d = np.array([10, 9, 1, 30, 9, 2, 9, 1])
+    _check_failed_estimates(monkeypatch, PowerIndex(0.7), r, d,
+                            [(0, 10), (5, 9), (40, 30), (900, 9)])
 
 
 def test_gamma_fallback_that_does_not_converge_raises(monkeypatch):

@@ -5,9 +5,10 @@ import pytest
 from scipy import integrate, stats
 
 from marksurv import process
-from marksurv.index import (BetaSplitIndex, GammaIndex, GeometricIndex,
-                            HarmonicIndex, LinearIndex, LinearShiftIndex,
-                            ParameterError, PowerIndex)
+from marksurv.index import (BetaSplitIndex, CharacteristicIndex,
+                            GammaIndex, GeometricIndex, HarmonicIndex,
+                            LinearIndex, LinearShiftIndex, ParameterError,
+                            PowerIndex)
 from marksurv.process import (CensoringPlan, Event, RiskSetTrajectory,
                               TimeTransform, log_density,
                               log_density_semimarkov, predictive_survival,
@@ -213,6 +214,8 @@ def test_one_rep_matches_the_sweep(index):
 
 
 def counting_rates(monkeypatch, cls):
+    """Record every rate asked of ``cls``: each scalar call, and each entry
+    of an array call."""
     calls = []
     for name in ("log_unit_block_rate", "unit_block_rate"):
         orig = getattr(cls, name)
@@ -222,6 +225,13 @@ def counting_rates(monkeypatch, cls):
             return _orig(self, r, d)
 
         monkeypatch.setattr(cls, name, counted)
+    rates = cls._log_rates
+
+    def counted_array(self, r, d):
+        calls.extend(zip(r.tolist(), d.tolist()))
+        return rates(self, r, d)
+
+    monkeypatch.setattr(cls, "_log_rates", counted_array)
     return calls
 
 
@@ -237,6 +247,20 @@ def test_second_simulate_on_warm_index_evaluates_no_rate(monkeypatch):
     simulate(40, index, plan, rng=make_rng(19))
     simulate_batch(40, index, 50, make_rng(19))
     assert calls == []
+
+
+@pytest.mark.parametrize("cls, params, n, seed", [
+    (PowerIndex, dict(alpha=0.9), 200, 7),  # the README's simulate command
+    (GammaIndex, dict(nu=1.0, rho=2.0), 300, 11),
+], ids=["power", "gamma"])
+def test_array_diagonal_draws_the_entrywise_stream(monkeypatch, cls, params,
+                                                   n, seed):
+    # The array rule and the scalar rates differ in rounding only, which
+    # moves no draw of these streams.
+    fast = simulate(n, cls(**params), rng=make_rng(seed))
+    monkeypatch.setattr(cls, "_log_rates", CharacteristicIndex._log_rates)
+    slow = simulate(n, cls(**params), rng=make_rng(seed))
+    assert fast == slow
 
 
 @pytest.mark.parametrize("make_index", [

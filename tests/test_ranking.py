@@ -340,10 +340,10 @@ def test_draw_never_lands_on_a_zero_weight_size():
 
 def test_non_finite_rate_raises_instead_of_drawing():
     class Broken(GammaIndex):
-        def log_unit_block_rate(self, r, d):
-            if (r, d) == (1, 3):
-                return math.nan
-            return super().log_unit_block_rate(r, d)
+        def _log_rates(self, r, d):
+            out = super()._log_rates(r, d)
+            out[(r == 1) & (d == 3)] = math.nan
+            return out
 
     rng = np.random.default_rng(23)
     for logw in (np.array([0.0, math.nan]), np.array([0.0, math.inf]),
