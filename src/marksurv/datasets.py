@@ -23,8 +23,8 @@ BUILTIN = {"gehan": GEHAN_6MP}
 
 def parse_dataset_text(text: str, label: str = "") -> Dataset:
     """Parse either a two-column CSV with header ``time,status`` (status 1 =
-    failure, 0 = censored) or a free-form token list where a trailing ``*``
-    marks a censored time (e.g. ``6,6,6,6*,7``)."""
+    failure, 0 = censored, anything else a DataError) or a free-form token
+    list where a trailing ``*`` marks a censored time (e.g. ``6,6,6,6*,7``)."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise DataError("dataset is empty")
@@ -35,9 +35,12 @@ def parse_dataset_text(text: str, label: str = "") -> Dataset:
             if len(parts) != 2:
                 raise DataError(f"bad CSV row: {ln!r}")
             try:
-                records.append((float(parts[0]), int(parts[1]) != 0))
+                time, status = float(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise DataError(f"bad CSV row: {ln!r}") from exc
+            if status not in (0, 1):
+                raise DataError(f"status must be 0 or 1: {ln!r}")
+            records.append((time, status == 1))
     else:
         for ln in lines:
             for tok in ln.replace(",", " ").split():

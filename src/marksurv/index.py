@@ -112,6 +112,9 @@ _CANCEL_TOL = 5e-12
 _QUAD_KW = dict(epsabs=1e-13, epsrel=1e-11, limit=476)
 
 _EPS = 2.220446049250313e-16
+# Most scalar log rates one index remembers (8 to 11 MB by tracemalloc); a
+# full memo is emptied rather than grown.
+_RATE_MEMO_MAX = 2 ** 16
 
 
 def _check_rd(r: int, d: int) -> None:
@@ -364,8 +367,9 @@ class CharacteristicIndex:
     Instances are immutable after construction and safe for concurrent reads.
     An instance remembers, as read-only arrays, each outer diagonal of log
     block rates it evaluates (one per n asked), and a separable one its
-    longest first-block terms; the memo lives on the instance, not in a
-    shared cache.
+    longest first-block terms; a gamma or power index also remembers each
+    scalar log rate it evaluates, up to ``_RATE_MEMO_MAX`` of them.  The
+    memo lives on the instance, not in a shared cache.
     """
 
     @property
@@ -410,12 +414,20 @@ class CharacteristicIndex:
     def _log_difference(self, r: int, d: int) -> float:
         """log of the signed d-th forward difference of the unit total rate
         at r: the alternating sum where it is short and loses little to
-        cancellation, otherwise the family's integral ``_log_rate_quad``."""
-        if d <= _NAIVE_DIFF_MAX:
-            val, cancel = _alternating_difference(self.unit_total_rate, r, d)
-            if cancel <= _CANCEL_TOL:
-                return math.log(val)
-        return self._log_rate_quad(r, d)
+        cancellation, otherwise the family's integral ``_log_rate_quad``.
+        Each answer, not a failure, is remembered keyed by (r, d)."""
+        rates = _memo(self).setdefault("rates", {})
+        v = rates.get((r, d))
+        if v is not None:
+            return v
+        val, cancel = (_alternating_difference(self.unit_total_rate, r, d)
+                       if d <= _NAIVE_DIFF_MAX else (0.0, math.inf))
+        v = (math.log(val) if cancel <= _CANCEL_TOL
+             else self._log_rate_quad(r, d))
+        if len(rates) >= _RATE_MEMO_MAX:
+            rates.clear()
+        rates[(r, d)] = v
+        return v
 
     def _log_diagonal(self, n: int) -> np.ndarray:
         """log unit_block_rate(n - d, d), d = 1..n, from one ``_log_rates``

@@ -93,8 +93,9 @@ def test_fit_missing_file_exits_with_data_code(tmp_path, capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("row", ["six,1", "inf,1"],
-                         ids=["non-numeric time", "infinite time"])
+@pytest.mark.parametrize("row", ["six,1", "inf,1", "1.0,2", "1.0,-1"],
+                         ids=["non-numeric time", "infinite time",
+                              "status 2", "status -1"])
 def test_fit_bad_time_exits_with_data_code(tmp_path, capsys, row):
     src = tmp_path / "bad.csv"
     src.write_text(f"time,status\n1.0,1\n{row}\n")

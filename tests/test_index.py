@@ -675,6 +675,39 @@ def test_gamma_fallback_that_does_not_converge_raises(monkeypatch):
         GammaIndex(1.0, 2.0)._log_rates(np.array([3, 4]), np.array([2, 7]))
 
 
+@pytest.mark.parametrize("make_index, r, d", [
+    (lambda: GammaIndex(1.0, 2.0), 3, 20), (lambda: PowerIndex(0.5), 0, 12),
+], ids=["gamma", "power"])
+def test_failed_scalar_rate_is_not_remembered(monkeypatch, make_index, r, d):
+    calls = []
+
+    def planted(*args, **kwargs):
+        calls.append(args[1:3])
+        return (1.0, 1.0, {}, "did not converge")
+
+    monkeypatch.setattr(index_mod.integrate, "quad", planted)
+    ix = make_index()
+    for attempt in range(1, 4):
+        with pytest.raises(NumericError, match="did not converge"):
+            ix.log_unit_block_rate(r, d)
+        assert len(calls) == attempt
+
+
+@pytest.mark.parametrize("make_index", [
+    lambda: GammaIndex(1.0, 2.0), lambda: PowerIndex(0.7),
+], ids=["gamma", "power"])
+def test_rate_memo_stays_within_its_bound(monkeypatch, make_index):
+    pairs = [(r, d) for r in (0, 3, 40) for d in (1, 2, 5, 12)] * 2
+    alone = [make_index().log_unit_block_rate(r, d) for r, d in pairs]
+    monkeypatch.setattr(index_mod, "_RATE_MEMO_MAX", 8)
+    ix = make_index()
+    got = []
+    for r, d in pairs:
+        got.append(ix.log_unit_block_rate(r, d))
+        assert len(index_mod._memo(ix)["rates"]) <= 8
+    assert got == alone
+
+
 # ---------------------------------------------------------------------------
 # measure representations
 

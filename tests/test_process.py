@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from marksurv import index as index_mod
 from marksurv import process
 from marksurv.index import (BetaSplitIndex, CharacteristicIndex,
                             GammaIndex, GeometricIndex, HarmonicIndex,
@@ -627,6 +628,46 @@ def test_seeded_matches_rebuild_then_draw(index):
         assert out.n_initial == ref.n_initial
         assert [(e.time, e.n_failures, e.n_censored) for e in out.events] == \
             [(e.time, e.n_failures, e.n_censored) for e in ref.events]
+
+
+@pytest.mark.parametrize("make_index", [
+    lambda: GammaIndex(1.0, 1.0), lambda: PowerIndex(0.9),
+    lambda: HarmonicIndex(0.7, 2.3),
+], ids=["gamma", "power", "harmonic"])
+def test_predictive_draws_same_with_or_without_memo(monkeypatch, make_index):
+    def draws(index):
+        rng = make_rng(31)
+        seed_traj = simulate(12, index, plan=CensoringPlan(
+            tuple(rng.uniform(0.5, 3.0, 12))), rng=rng)
+        out = []
+        for _ in range(3):
+            traj = simulate_seeded(seed_traj, 40, index, rng)
+            out.append((traj, [sample_next(traj, index, rng)
+                               for _ in range(10)]))
+        return out
+
+    remembered = draws(make_index())
+    monkeypatch.setattr(index_mod, "_memo", lambda index: {})
+    assert draws(make_index()) == remembered
+
+
+def test_second_seeded_series_on_warm_gamma_runs_no_quadrature(monkeypatch):
+    calls = []
+    quad = GammaIndex._log_rate_quad
+
+    def counted(self, r, d):
+        calls.append((r, d))
+        return quad(self, r, d)
+
+    monkeypatch.setattr(GammaIndex, "_log_rate_quad", counted)
+    index = GammaIndex(1.0, 1.0)
+    seed_traj = simulate(20, index, rng=make_rng(3))
+    calls.clear()
+    first = simulate_seeded(seed_traj, 40, index, make_rng(20))
+    assert calls
+    calls.clear()
+    assert simulate_seeded(seed_traj, 40, index, make_rng(20)) == first
+    assert calls == []
 
 
 def test_seeded_builds_each_output_event_once(monkeypatch):
