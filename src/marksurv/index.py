@@ -39,6 +39,7 @@ __all__ = [
     "NumericError",
     "ResourceError",
     "MAX_TABLE_ROWS",
+    "MAX_RISK_SET",
     "CharacteristicIndex",
     "HarmonicIndex",
     "GammaIndex",
@@ -99,6 +100,20 @@ special = _LazyModule("scipy.special")
 # C(1030, 515) does not.  A table of n rows holds (n + 1)**2 floats: 8.5 MB
 # at 1029.
 MAX_TABLE_ROWS = 1029
+# Largest n that simulate, simulate_batch, the block sweep and
+# expected_blocks take: their O(n) arrays peaked at 197 MB at n = 1e6 and
+# 709 MB at 4e6 (harmonic simulate), so 1 GB would go near n = 5.6e6.
+MAX_RISK_SET = 4_000_000
+
+
+def _check_risk_set(n: int) -> None:
+    """Rejects a risk set below 1 or above MAX_RISK_SET before any O(n)
+    allocation."""
+    if n < 1:
+        raise ParameterError("n must be >= 1")
+    if n > MAX_RISK_SET:
+        raise ResourceError(f"{n} at risk exceed {MAX_RISK_SET}: the "
+                            "arrays would need over 1 GB")
 
 
 # Differences of order above this are evaluated through the integral

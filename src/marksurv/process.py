@@ -29,8 +29,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .index import (CharacteristicIndex, ParameterError, _first_block_reader,
-                    _read_only)
+from .index import (CharacteristicIndex, ParameterError, _check_risk_set,
+                    _first_block_reader, _read_only)
 from .ranking import _block_sweep, sample_first_block_size
 
 __all__ = [
@@ -233,8 +233,7 @@ def simulate_batch(n: int, index: CharacteristicIndex, reps: int,
     block size from the first-block row.  Particle ids are not drawn; by
     exchangeability any assignment of ids to blocks is equally likely.
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    _check_risk_set(n)
     if reps < 1:
         raise ParameterError("reps must be >= 1")
     if rng is None:
@@ -281,8 +280,7 @@ def simulate(n: int, index: CharacteristicIndex,
     form the same Markov survival process on the smaller risk set, and
     censoring after the run has the law of censoring during it.
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    _check_risk_set(n)
     if rng is None:
         raise ParameterError("an explicit random generator is required")
     censor = np.full(n, math.inf) if plan is None else np.array(plan.times)
@@ -314,8 +312,11 @@ def _path_integral(rate: Callable[[int], float], at_risk: np.ndarray,
                    span: np.ndarray) -> float:
     """The integral of rate(m) along a risk-set path that has at_risk[i]
     individuals at risk for span[i], summed in order as a running total
-    would be."""
-    return sum(rate(m) * t for m, t in zip(at_risk.tolist(), span.tolist()))
+    would be (Python 3.12's sum() compensates float rounding)."""
+    total = 0.0
+    for m, t in zip(at_risk.tolist(), span.tolist()):
+        total += rate(m) * t
+    return total
 
 
 def _unit_rate_integral(traj: RiskSetTrajectory,
@@ -327,8 +328,10 @@ def _unit_rate_integral(traj: RiskSetTrajectory,
 def _log_density_sums(traj: RiskSetTrajectory, index: CharacteristicIndex):
     """(U, S): the integrated unit rate and the sum of the log unit block
     rates of the failure blocks, all of these from one rate call."""
-    return (_unit_rate_integral(traj, index),
-            sum(index._log_rates(traj.r, traj.d).tolist()))
+    unit_integral, log_rate_sum = _unit_rate_integral(traj, index), 0.0
+    for x in index._log_rates(traj.r, traj.d).tolist():
+        log_rate_sum += x
+    return unit_integral, log_rate_sum
 
 
 def _log_likelihood(k: int, nu: float, sums) -> float:

@@ -88,48 +88,88 @@ class MeasureRealization:
         return self.drift * (b - a) + float(self.masses[sel].sum())
 
 
-def _gamma_mass_quantiles(rho: float, eps: float, u: np.ndarray) -> np.ndarray:
-    """Inverse of the normalized tail of the density z**-1 exp(-rho z) on
-    (eps, inf): exact to machine precision via Newton on the exponential
-    integral."""
-    total = special.exp1(rho * eps)
-    target = u * total  # tail values in (0, total]
+# Nodes of the inverse jump tail, evenly spaced in log u over [-38, 0]:
+# u = 1 - random() >= 2**-53, so log u >= -36.7.  Against mpmath over 15
+# (rho, eps) and 202 u each, the inverse misses by up to 4.8e-15 relative
+# with 2048 nodes, 6.7e-15 with 1024 and 1.9e-12 with 512.
+_TAIL_NODES = 2048
+_TAIL_SPAN = 38.0
+
+
+def _gamma_mass_inverse(rho: float, eps: float):
+    """Return the inverse u -> z of the normalized tail E1(rho z) / E1(rho
+    eps) of the jump density z**-1 exp(-rho z) on (eps, inf), u in
+    [2**-53, 1]: a cubic Hermite in (log u, log z) through _TAIL_NODES nodes,
+    each exact by interpolation and four Newton steps on E1, then one Newton
+    step; within 5e-15 relative of the exact quantile."""
+    total = float(special.exp1(rho * eps))
     z_hi = max(4.0 * eps, 80.0 / rho)
-    grid = np.geomspace(eps, z_hi, 512)
-    tails = special.exp1(rho * grid)
-    z = np.interp(-target, -tails, grid)
-    for _ in range(4):
+
+    def newton(z, target):
         f = special.exp1(rho * z) - target
-        z = np.clip(z + f * z * np.exp(np.minimum(rho * z, 700.0)), eps, z_hi)
-    return z
+        return np.clip(z + f * z * np.exp(np.minimum(rho * z, 700.0)),
+                       eps, z_hi)
+
+    log_u = np.linspace(-_TAIL_SPAN, 0.0, _TAIL_NODES)
+    target = np.exp(log_u) * total
+    grid = np.geomspace(eps, z_hi, 512)
+    z = np.interp(-target, -special.exp1(rho * grid), grid)
+    for _ in range(4):
+        z = newton(z, target)
+    h = _TAIL_SPAN / (_TAIL_NODES - 1)
+    # h d log z / d log u = -h E1(rho z) exp(rho z), in logs past rho z = 700
+    m = -h * np.exp(log_u + math.log(total) + rho * z)
+    y = np.log(z)
+    dy = np.diff(y)
+    coef = (y[:-1], m[:-1], 3.0 * dy - 2.0 * m[:-1] - m[1:],
+            m[:-1] + m[1:] - 2.0 * dy)
+
+    def inverse(u: np.ndarray) -> np.ndarray:
+        # The node by arithmetic on log u, not a search; Horner steps in
+        # place keep the peak memory near that of the draws themselves.
+        x = np.log(u)
+        x += _TAIL_SPAN
+        x /= h
+        i = np.minimum(x.astype(np.intp), _TAIL_NODES - 2)
+        x -= i
+        z = coef[3][i]
+        for c in coef[2::-1]:
+            z *= x
+            z += c[i]
+        return newton(np.exp(z, out=z), u * total)
+    return inverse
 
 
-def _atom_rate(nu: float, rho: float, eps: float) -> float:
-    """Checks the gamma measure's parameters; returns its expected number of
-    atoms above eps per unit length, nu * E1(rho * eps)."""
-    if not (0.0 <= nu < math.inf):
-        raise ParameterError(f"nu must be finite and >= 0, got {nu}")
-    if not (0.0 < rho < math.inf):
-        raise ParameterError(f"rho must be finite and > 0, got {rho}")
-    if not (eps > 0.0):
-        raise ParameterError(f"truncation must be positive, got {eps}")
-    return nu * float(special.exp1(rho * eps))
+class _GammaJumps:
+    """The jumps above eps of a gamma measure: checks (nu, rho, eps) and
+    keeps their expected number per unit length, nu E1(rho eps), and the
+    inverse of their mass tail, built at the first mass drawn."""
 
+    def __init__(self, nu: float, rho: float, eps: float):
+        if not (0.0 <= nu < math.inf):
+            raise ParameterError(f"nu must be finite and >= 0, got {nu}")
+        if not (0.0 < rho < math.inf):
+            raise ParameterError(f"rho must be finite and > 0, got {rho}")
+        if not (eps > 0.0):
+            raise ParameterError(f"truncation must be positive, got {eps}")
+        self.rate = nu * float(special.exp1(rho * eps))
+        self.rho, self.eps, self._inverse = rho, eps, None
 
-def _gamma_atoms(nu: float, rho: float, width: float, eps: float, reps: int,
-                 rng):
-    """Atoms above eps of ``reps`` independent gamma-measure draws on
-    [0, width): Poisson counts per rep, then uniform locations in rep order,
-    then masses from the truncated jump density."""
-    mean_atoms = width * _atom_rate(nu, rho, eps)
-    if mean_atoms * reps > _MAX_ATOMS:
-        raise ResourceError(f"expected atom count {mean_atoms * reps:.3g} "
-                            f"exceeds {_MAX_ATOMS:.0e}; raise the truncation")
-    counts = rng.poisson(mean_atoms, size=reps)  # draws nothing at mean 0
-    total = int(counts.sum())
-    locs = rng.uniform(0.0, width, total)
-    masses = _gamma_mass_quantiles(rho, eps, 1.0 - rng.random(total))
-    return counts, locs, masses
+    def atoms(self, width: float, reps: int, rng):
+        """Atoms of ``reps`` independent draws on [0, width): Poisson counts
+        per rep, then uniform locations in rep order, then masses from the
+        truncated jump density."""
+        mean_atoms = width * self.rate
+        if mean_atoms * reps > _MAX_ATOMS:
+            raise ResourceError(f"expected atom count {mean_atoms * reps:.3g} "
+                                f"exceeds {_MAX_ATOMS:.0e}; raise the truncation")
+        counts = rng.poisson(mean_atoms, size=reps)  # draws nothing at mean 0
+        total = int(counts.sum())
+        locs = rng.uniform(0.0, width, total)
+        u = 1.0 - rng.random(total)
+        if total and self._inverse is None:
+            self._inverse = _gamma_mass_inverse(self.rho, self.eps)
+        return counts, locs, self._inverse(u) if total else u
 
 
 def sample_gamma_measure(nu: float, rho: float, t_max: float, eps: float,
@@ -141,7 +181,7 @@ def sample_gamma_measure(nu: float, rho: float, t_max: float, eps: float,
     """
     if not (t_max > 0.0):
         raise ParameterError(f"t_max must be positive, got {t_max}")
-    _, locs, masses = _gamma_atoms(nu, rho, t_max, eps, 1, rng)
+    _, locs, masses = _GammaJumps(nu, rho, eps).atoms(t_max, 1, rng)
     return MeasureRealization(t_max=t_max, drift=0.0, locations=locs,
                               masses=masses, truncation=eps)
 
@@ -203,8 +243,8 @@ def gamma_interval_totals(nu: float, rho: float, breaks: Sequence[float],
     breaks = np.asarray(breaks, dtype=float)
     if breaks.ndim != 1 or breaks.size < 2 or np.any(np.diff(breaks) <= 0.0):
         raise ParameterError("breaks must be strictly increasing")
-    counts, locs, masses = _gamma_atoms(nu, rho, breaks[-1] - breaks[0], eps,
-                                        reps, rng)
+    counts, locs, masses = _GammaJumps(nu, rho, eps).atoms(
+        breaks[-1] - breaks[0], reps, rng)
     nseg = breaks.size - 1
     cell = (np.repeat(np.arange(reps) * nseg, counts)
             + np.searchsorted(breaks[1:-1], breaks[0] + locs))
@@ -223,15 +263,15 @@ def _measure_lifetimes(nu: float, rho: float, n: int, eps: float, reps: int,
     increments on disjoint windows are independent, and the exponential has
     no memory."""
     width = _WINDOW_LIFETIMES / (nu * math.log1p(1.0 / rho))
-    per_rep = width * _atom_rate(nu, rho, eps)
+    jumps = _GammaJumps(nu, rho, eps)
+    per_rep = width * jumps.rate
     chunk = min(_CHUNK, max(1, int(_CHUNK_ATOMS / max(per_rep, 1.0))))
     times = np.full((reps, n), np.inf)
     for start in range(0, reps, chunk):
         rows = np.arange(start, min(start + chunk, reps))
         left = rng.standard_exponential((rows.size, n))
         for offset in width * np.arange(_MAX_ROUNDS):
-            counts, locs, masses = _gamma_atoms(nu, rho, width, eps,
-                                                rows.size, rng)
+            counts, locs, masses = jumps.atoms(width, rows.size, rng)
             bound = np.concatenate([[0], np.cumsum(counts)])
             # Sort locations within reps: by value, then stably by rep (a
             # radix sort on 16 bits).  The masses are iid and independent of

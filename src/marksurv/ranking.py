@@ -18,8 +18,8 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .index import (CharacteristicIndex, ParameterError, SplittingTable,
-                    _draw_block_sizes, _first_block_log_rows,
-                    _first_block_reader)
+                    _check_risk_set, _draw_block_sizes,
+                    _first_block_log_rows, _first_block_reader)
 
 __all__ = [
     "OrderedPartition",
@@ -204,8 +204,7 @@ def _block_sweep(rule: Rule, n: int, reps: int, rng):
     from the top down: the chains at m (in ascending order) and the block
     sizes they draw, all from one first-block row.
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    _check_risk_set(n)
     if reps < 1:
         raise ParameterError("reps must be >= 1")
     first_block = _first_block_reader(rule, n) if n > 1 else None
@@ -232,8 +231,7 @@ def expected_blocks(n: int, rule: Rule) -> float:
     Those chances follow from the first-block laws taken top-down, in the
     order the row source gives them, so no row is kept once used.
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    _check_risk_set(n)
     visit = np.zeros(n + 1)
     visit[n] = 1.0
     for logw in _first_block_log_rows(rule, n):

@@ -198,6 +198,19 @@ def test_out_of_memory_exits_with_numeric_code(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [["simulate", "-n", 65],
+                                  ["blocks", "--n-list", "8,65", "--reps", 2]])
+def test_risk_set_above_the_cap_exits_with_numeric_code(tmp_path, capsys,
+                                                        monkeypatch, argv):
+    from marksurv import index
+    monkeypatch.setattr(index, "MAX_RISK_SET", 64)
+    assert run([*argv, "--seed", 1, "--out", tmp_path / "x.csv"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: 65 at risk exceed 64")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_predict_curves(tmp_path, capsys):
     out = tmp_path / "curves.csv"
     assert run(["predict", "--data", "builtin:gehan", "--grid", "0:40:1",

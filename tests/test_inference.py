@@ -210,8 +210,10 @@ def test_summary_columns_describe_the_trajectory(gehan):
                     traj.d.tolist())) == blocks
     assert len(traj.d) == traj.num_failure_times == 7
     assert traj.d.sum() == traj.n_deaths == 9
-    assert traj.total_risk_time == sum(
-        m * (t1 - t0) for t0, t1, m in traj.segments())
+    running = 0.0
+    for t0, t1, m in traj.segments():
+        running += m * (t1 - t0)
+    assert traj.total_risk_time == running
 
 
 def test_overflowing_risk_time_fails_only_the_fits_that_use_it():

@@ -9,7 +9,7 @@ from marksurv import process
 from marksurv.index import (BetaSplitIndex, CharacteristicIndex,
                             GammaIndex, GeometricIndex, HarmonicIndex,
                             LinearIndex, LinearShiftIndex, ParameterError,
-                            PowerIndex)
+                            PowerIndex, ResourceError)
 from marksurv.process import (CensoringPlan, Event, RiskSetTrajectory,
                               TimeTransform, log_density,
                               log_density_semimarkov, predictive_survival,
@@ -809,3 +809,27 @@ def test_harmonic_small_rho_matches_product_limit_factors():
     for r, d in ((17, 3), (16, 1)):
         factor = ix.block_rate(r + 1, d) / ix.block_rate(r, d)
         assert abs(factor - r / (r + d)) < 1e-6
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: simulate(n, H11, rng=np.random.default_rng(1)),
+    lambda n: simulate_batch(n, H11, 1, np.random.default_rng(1)),
+    lambda n: simulate_batch(n, H11, 3, np.random.default_rng(1)),
+    lambda n: next(_block_sweep(H11, n, 2, np.random.default_rng(1))),
+    lambda n: expected_blocks(n, H11),
+], ids=["simulate", "simulate_batch one rep", "simulate_batch",
+        "block sweep", "expected_blocks"])
+def test_risk_set_above_the_cap_raises_resource_error(monkeypatch, call):
+    monkeypatch.setattr(index_mod, "MAX_RISK_SET", 64)
+    call(64)
+    with pytest.raises(ResourceError, match="65 at risk exceed 64"):
+        call(65)
+    with pytest.raises(ParameterError, match="n must be >= 1"):
+        call(0)
+
+
+def test_path_integral_is_a_running_total():
+    # A compensated sum (Python 3.12's sum()) would give 1.0.
+    assert process._path_integral(
+        lambda m: 1.0, np.array([3, 2, 1]),
+        np.array([1e16, 1.0, -1e16])) == 0.0

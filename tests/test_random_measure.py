@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -36,6 +38,85 @@ def test_disjoint_intervals_independent():
     tot = gamma_interval_totals(1.0, 1.0, [0.0, 1.0, 2.0], 1e-8, 10000, rng)
     r = np.corrcoef(tot[:, 0], tot[:, 1])[0, 1]
     assert abs(r) * math.sqrt(tot.shape[0]) < 3.0
+
+
+def _four_step_quantiles(rho, eps, u):
+    """The masses as drawn before the inverse-tail table: interpolation on
+    512 points, then four Newton steps on E1 for every atom."""
+    target = u * special.exp1(rho * eps)
+    z_hi = max(4.0 * eps, 80.0 / rho)
+    grid = np.geomspace(eps, z_hi, 512)
+    z = np.interp(-target, -special.exp1(rho * grid), grid)
+    for _ in range(4):
+        f = special.exp1(rho * z) - target
+        z = np.clip(z + f * z * np.exp(np.minimum(rho * z, 700.0)), eps, z_hi)
+    return z
+
+
+def _exact_quantile(rho, eps, u, start):
+    """z with E1(rho z) = u E1(rho eps), by Newton at 40 digits."""
+    with mp.workdps(40):
+        rho, target = mp.mpf(rho), mp.mpf(u) * mp.e1(mp.mpf(rho) * eps)
+        z = mp.mpf(start)
+        for _ in range(8):
+            z += (mp.e1(rho * z) - target) * z * mp.exp(rho * z)
+        assert abs(mp.e1(rho * z) / target - 1) < mp.mpf(10) ** -35
+        return z
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-2])
+@pytest.mark.parametrize("rho", [1e-3, 0.3, 1.0, 20.0, 1e3])
+def test_mass_inverse_matches_high_precision(rho, eps):
+    u = np.array([1.0, 0.5, 1e-9, 2.0 ** -53])
+    z = random_measure._gamma_mass_inverse(rho, eps)(u)
+    for ui, zi in zip(u.tolist(), z.tolist()):
+        exact = _exact_quantile(rho, eps, ui, zi)
+        assert abs(zi / exact - 1) <= 5e-15
+
+
+def test_four_step_masses_give_the_same_counts(monkeypatch):
+    def run():
+        rep = compare_constructions(1.0, 1.0, 3, (0.25, 0.75), 1500, 1e-6,
+                                    make_rng(50))
+        tot = gamma_interval_totals(1.0, 1.0, [0.0, 0.5, 1.0], 1e-7, 2000,
+                                    make_rng(51))
+        return rep, tot, sample_gamma_measure(1.0, 1.0, 50.0, 1e-7,
+                                              make_rng(52)).masses
+    rep, tot, z = run()
+    monkeypatch.setattr(random_measure, "_gamma_mass_inverse",
+                        lambda rho, eps: lambda u: _four_step_quantiles(
+                            rho, eps, u))
+    old_rep, old_tot, old_z = run()
+    assert np.array_equal(rep.survival_emp, old_rep.survival_emp)
+    assert np.array_equal(rep.count_emp, old_rep.count_emp)
+    assert np.allclose(tot, old_tot, rtol=1e-13, atol=0.0)
+    # One ulp of E1 moves z by E1(z) e^z ulps (about 16 at the truncation);
+    # one more Newton step of the four-step routine moves its own masses by
+    # up to 9 times that.
+    cond = np.maximum(special.exp1(old_z) * np.exp(old_z), 1.0)
+    assert np.all(np.abs(z - old_z) <= 12.0 * cond * np.spacing(old_z))
+
+
+@pytest.mark.parametrize("nu, rho, eps", [(0.0, 1.0, 1e-6), (1.0, 800.0, 1.0)])
+def test_draw_without_atoms_builds_no_inverse(monkeypatch, nu, rho, eps):
+    def no_build(rho, eps):
+        raise AssertionError("inverse built")
+    monkeypatch.setattr(random_measure, "_gamma_mass_inverse", no_build)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sample_gamma_measure(nu, rho, 5.0, eps, make_rng(53)).n_atoms == 0
+        tot = gamma_interval_totals(nu, rho, [0.0, 1.0], eps, 50, make_rng(54))
+    assert not tot.any()
+
+
+def test_lifetimes_build_one_inverse(monkeypatch):
+    builds = []
+    build = random_measure._gamma_mass_inverse
+    monkeypatch.setattr(random_measure, "_gamma_mass_inverse",
+                        lambda rho, eps: builds.append(rho) or build(rho, eps))
+    monkeypatch.setattr(random_measure, "_CHUNK", 100)
+    random_measure._measure_lifetimes(1.0, 1.0, 2, 1e-6, 350, make_rng(55))
+    assert builds == [1.0]
 
 
 def test_zero_intensity_gives_empty_measure():
@@ -236,12 +317,18 @@ BAD_MEASURE = [(-1.0, 1.0, 1e-6), (math.nan, 1.0, 1e-6), (1.0, 0.0, 1e-6),
 
 
 @pytest.mark.parametrize("nu, rho, eps", BAD_MEASURE)
-def test_bad_measure_parameters_raise_parameter_error(nu, rho, eps):
+def test_bad_measure_parameters_raise_parameter_error(monkeypatch, nu, rho,
+                                                      eps):
+    monkeypatch.setattr(random_measure, "_gamma_mass_inverse", None)
     rng = make_rng(43)
     with pytest.raises(ParameterError):
         compare_constructions(nu, rho, 2, [0.5, 1.0], 100, eps, rng)
     with pytest.raises(ParameterError):
         gamma_interval_totals(nu, rho, [0.0, 1.0], eps, 100, rng)
+    with pytest.raises(ParameterError):
+        sample_gamma_measure(nu, rho, 1.0, eps, rng)
+    with pytest.raises(ParameterError, match="t_max"):
+        sample_gamma_measure(nu, rho, 0.0, eps, rng)
 
 
 @pytest.mark.parametrize("reps", [0, -1])
@@ -254,7 +341,8 @@ def test_compare_needs_a_rep(reps):
 def test_compare_enforces_the_atom_budget(monkeypatch):
     # about 29 atoms per rep in the first window, so 200 reps need ~5,700
     monkeypatch.setattr(random_measure, "_MAX_ATOMS", 1000)
-    with pytest.raises(ResourceError):
+    monkeypatch.setattr(random_measure, "_gamma_mass_inverse", None)
+    with pytest.raises(ResourceError, match="expected atom count"):
         compare_constructions(1.0, 1.0, 2, [0.5, 1.0], 200, 1e-6,
                               make_rng(45))
 
