@@ -130,6 +130,12 @@ _EPS = 2.220446049250313e-16
 # Most scalar log rates one index remembers (8 to 11 MB by tracemalloc); a
 # full memo is emptied rather than grown.
 _RATE_MEMO_MAX = 2 ** 16
+# The predictive walk remembers hazards for m below _WALK_ROWS at risk and
+# atom factors for r below it, in double arrays of at most _WALK_MAX slots
+# all together (1.1 MB by tracemalloc).  Full tables are emptied rather
+# than grown; a larger risk set is asked of the index at every row.
+_WALK_ROWS = 2 ** 12
+_WALK_MAX = 2 ** 17
 
 
 def _check_rd(r: int, d: int) -> None:
@@ -317,6 +323,75 @@ def _memo(index) -> dict:
     return index.__dict__.setdefault("_memo", {})
 
 
+def _forbidden_block(r: int, d: int) -> ParameterError:
+    return ParameterError(
+        f"the index forbids a failure block of {d} leaving {r}: its rate is 0")
+
+
+class _WalkTables:
+    """The floats the predictive walk reads, each computed once per index
+    by the scalar expression an uncached walk would use: ``hazard[m]`` is
+    block_rate(m, 1), and ``keep[d][r]`` is lambda(r + 1, d) / lambda(r, d),
+    the chance of surviving the atom of a failure block of d leaving r.
+    The tables are double arrays indexed by m and by r, holding -1 where
+    nothing is computed yet (no hazard or factor is negative)."""
+
+    __slots__ = ("hazard", "keep", "size", "unset")
+
+    def __init__(self):
+        from array import array  # loaded at the first walk, not at import
+        self.hazard, self.keep, self.size = array("d"), {}, 0
+        self.unset = array("d", [-1.0])
+
+    def _grow(self, col, n: int) -> bool:
+        """Pad col with -1 to n slots, first emptying every table if the
+        slots would pass _WALK_MAX; False, with col unchanged, when n is
+        too long for a table."""
+        if n <= len(col):
+            return True
+        if n > _WALK_ROWS or n > _WALK_MAX:
+            return False
+        if self.size + n - len(col) > _WALK_MAX:
+            del self.hazard[:]
+            self.keep.clear()
+            del col[:]
+            self.size = 0
+        self.size += n - len(col)
+        col.extend(self.unset * (n - len(col)))
+        return True
+
+    def hazard_at(self, index, m: int) -> float:
+        h = index.block_rate(m, 1)
+        if self._grow(self.hazard, m + 1):
+            self.hazard[m] = h
+        return h
+
+    def keep_at(self, index, r: int, d: int) -> float:
+        """The remembered factor, else computed and remembered; a block
+        whose rate is 0 raises ParameterError."""
+        col = self.keep.get(d) or self.unset[:0]  # [:0]: a new, empty one
+        v = col[r] if r < len(col) else -1.0
+        if v < 0.0:
+            log_hi = index.log_unit_block_rate(r + 1, d)
+            log_lo = index.log_unit_block_rate(r, d)
+            if log_lo == -math.inf:
+                raise _forbidden_block(r, d)
+            v = math.exp(log_hi - log_lo)
+            if self._grow(col, r + 1):
+                col[r] = v
+                self.keep[d] = col
+        return v
+
+
+def _walk_tables(index) -> _WalkTables:
+    """The predictive walk's tables of an index, kept in its memo."""
+    memo = _memo(index)
+    walk = memo.get("walk")
+    if walk is None:
+        walk = memo["walk"] = _WalkTables()
+    return walk
+
+
 def _first_block_reader(rule, n: int):
     """Return ``row(m)``: log C(m, d) q(m - d, d) plus a constant of the row,
     d = 1..m, for m <= n taken in non-increasing order.  The constant (the
@@ -383,8 +458,10 @@ class CharacteristicIndex:
     An instance remembers, as read-only arrays, each outer diagonal of log
     block rates it evaluates (one per n asked), and a separable one its
     longest first-block terms; a gamma or power index also remembers each
-    scalar log rate it evaluates, up to ``_RATE_MEMO_MAX`` of them.  The
-    memo lives on the instance, not in a shared cache.
+    scalar log rate it evaluates, up to ``_RATE_MEMO_MAX`` of them.  Every
+    instance remembers the hazards and atom factors its predictive walk
+    reads, up to ``_WALK_MAX`` doubles (1.1 MB).  The memo lives on the
+    instance, not in a shared cache.
     """
 
     @property

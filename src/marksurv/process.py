@@ -30,7 +30,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .index import (CharacteristicIndex, ParameterError, _check_risk_set,
-                    _first_block_reader, _read_only)
+                    _first_block_reader, _forbidden_block, _read_only,
+                    _walk_tables)
 from .ranking import _block_sweep, sample_first_block_size
 
 __all__ = [
@@ -368,6 +369,10 @@ def _survival_pieces(history: RiskSetTrajectory, index: CharacteristicIndex):
     k = len(d)
     lr = index._log_rates(np.concatenate([r + 1, r, at_risk]),
                           np.concatenate([d, d, np.ones_like(at_risk)]))
+    forbidden = np.flatnonzero(lr[k:2 * k] == -np.inf)
+    if forbidden.size:
+        i = forbidden[0]
+        raise _forbidden_block(int(r[i]), int(d[i]))
     log_atoms = np.zeros(len(history.events))
     log_atoms[history._blocks] = lr[:k] - lr[k:2 * k]
     haz = index.scale * np.exp(lr[2 * k:])
@@ -401,25 +406,43 @@ _EVENT_ROW = attrgetter("time", "n_failures", "n_censored")
 
 def _draw_next(alive: int, rows, index: CharacteristicIndex, rng) -> float:
     """The predictive draw of sample_next from the initial risk-set size and
-    the (time, n_failures, n_censored) rows of the events in time order."""
+    the (time, n_failures, n_censored) rows of the events in time order.
+    Hazards and atom factors are read from the index's walk tables."""
+    walk = _walk_tables(index)
+    hazard, keep = walk.hazard, walk.keep
     e_cont = rng.exponential()
     t_prev = 0.0
     for time, n_failures, n_censored in rows:
-        h = index.block_rate(alive, 1)
+        h = hazard[alive] if alive < len(hazard) else -1.0
+        if h < 0.0:
+            h = walk.hazard_at(index, alive)
         span = time - t_prev
         if h * span >= e_cont:
             return t_prev + e_cont / h
         e_cont -= h * span
         if n_failures > 0:
             r = alive - n_failures
-            keep = math.exp(index.log_unit_block_rate(r + 1, n_failures)
-                            - index.log_unit_block_rate(r, n_failures))
-            if rng.random() >= keep:
+            col = keep.get(n_failures)
+            k = col[r] if col is not None and r < len(col) else -1.0
+            if k < 0.0:
+                k = walk.keep_at(index, r, n_failures)
+            if rng.random() >= k:
                 return time
         alive -= n_failures + n_censored
         t_prev = time
-    h = index.block_rate(alive, 1)
+    h = hazard[alive] if alive < len(hazard) else -1.0
+    if h < 0.0:
+        h = walk.hazard_at(index, alive)
     return t_prev + e_cont / h
+
+
+def _check_blocks(history: RiskSetTrajectory,
+                  index: CharacteristicIndex) -> None:
+    """Raise ParameterError at the first failure block the index forbids,
+    wherever a draw would stop."""
+    walk = _walk_tables(index)
+    for r, d in zip(history.r.tolist(), history.d.tolist()):
+        walk.keep_at(index, r, d)
 
 
 def sample_next(history: RiskSetTrajectory, index: CharacteristicIndex,
@@ -429,8 +452,10 @@ def sample_next(history: RiskSetTrajectory, index: CharacteristicIndex,
     The continuous hazard component is inverted with a single standard
     exponential, and each failure atom is survived by an independent
     Bernoulli; the draw is the minimum of the two mechanisms, which matches
-    the predictive survival product exactly.
+    the predictive survival product exactly.  A history with a failure
+    block the index forbids raises ParameterError.
     """
+    _check_blocks(history, index)
     return _draw_next(history.n_initial, map(_EVENT_ROW, history.events),
                       index, rng)
 
@@ -445,6 +470,7 @@ def simulate_seeded(seed_traj: RiskSetTrajectory, m_new: int,
     """
     if m_new < 0:
         raise ParameterError("m_new must be >= 0")
+    _check_blocks(seed_traj, index)
     rows = [[e.time, e.n_failures, e.n_censored] for e in seed_traj.events]
     n0 = seed_traj.n_initial
     for _ in range(m_new):

@@ -535,6 +535,83 @@ def test_sample_next_matches_predictive_curve():
     assert np.abs(emp - s).max() < 0.01
 
 
+def _harmonic_posterior_mean(t, history, nu, rho):
+    """P(next lifetime > t) for harmonic(nu, rho) as the beta process's
+    posterior mean: the product of (rho + r) / (rho + r + d) over the failure
+    blocks up to t, times exp(-integral of nu / (rho + m) up to t)."""
+    log_s, t_prev, alive = 0.0, 0.0, history.n_initial
+    for e in history.events:
+        if e.time > t:
+            break
+        log_s -= nu / (rho + alive) * (e.time - t_prev)
+        if e.n_failures:
+            r = alive - e.n_failures
+            log_s += math.log((rho + r) / (rho + r + e.n_failures))
+        alive -= e.n_failures + e.n_censored
+        t_prev = e.time
+    return math.exp(log_s - nu / (rho + alive) * (t - t_prev))
+
+
+@pytest.mark.parametrize("rho", [0.5, 2.3, 40.0, 150.0])
+def test_harmonic_predictive_is_the_beta_process_posterior_mean(rho):
+    nu = 0.7
+    index = HarmonicIndex(nu, rho)
+    rng = make_rng(61)
+    # Censoring times spread over the lifetimes' scale, about (rho + m) / nu.
+    history = simulate(60, index, plan=CensoringPlan(
+        tuple(np.exp(rng.uniform(-6.0, 1.0, 60)) * (rho + 30.0) / nu)),
+        rng=rng)
+    assert history.n_censored > 10 and history.num_failure_times > 5
+    grid = np.concatenate([np.linspace(0.0, 1.2 * history.last_time, 40),
+                           history.fail_time])
+    expect = np.array([_harmonic_posterior_mean(t, history, nu, rho)
+                       for t in grid.tolist()])
+    np.testing.assert_allclose(predictive_survival(grid, history, index),
+                               expect, rtol=1e-12, atol=0.0)
+    # The walk's remembered hazards and atom factors are the same closed
+    # forms.
+    simulate_seeded(history, 40, index, rng)
+    walk = index_mod._walk_tables(index)
+    hazard = {m: h for m, h in enumerate(walk.hazard) if h >= 0.0}
+    keep = {(r, d): k for d, col in walk.keep.items()
+            for r, k in enumerate(col) if k >= 0.0}
+    assert len(hazard) > 20 and len(keep) > 20
+    for m, h in hazard.items():
+        assert h == pytest.approx(nu / (rho + m), rel=1e-12, abs=0.0)
+    for (r, d), k in keep.items():
+        assert k == pytest.approx((rho + r) / (rho + r + d), rel=1e-12,
+                                  abs=0.0)
+
+
+@pytest.mark.parametrize("index", [LinearIndex(), LinearShiftIndex(1.0)],
+                         ids=["linear", "linear-shift"])
+def test_history_the_index_forbids_raises_parameter_error(index):
+    # A tie of 2 leaving 3 has rate 0 under both indices.
+    history = RiskSetTrajectory(6, (Event(0.5, 1, 0), Event(1.0, 2, 0)))
+    calls = [lambda: predictive_survival([0.2, 1.0, 2.0], history, index)]
+    calls += [lambda seed=seed: sample_next(history, index, make_rng(seed))
+              for seed in range(10)]
+    calls += [lambda: simulate_seeded(history, 3, index, make_rng(0))]
+    for call in calls:
+        with pytest.raises(ParameterError,
+                           match=r"^the index forbids a failure block of 2 "
+                                 r"leaving 3: its rate is 0$"):
+            call()
+    assert log_density(history, index) == -math.inf
+
+
+def test_block_the_next_lifetime_cannot_survive():
+    # Under LinearShiftIndex a tie of everyone at risk is allowed, and the
+    # next individual joins it surely: lambda(1, 2) = 0 < lambda(0, 2).
+    index = LinearShiftIndex(1.0)
+    history = RiskSetTrajectory(2, (Event(1.0, 2, 0),))
+    s = predictive_survival([0.5, 1.0, 3.0], history, index)
+    assert s[0] == pytest.approx(math.exp(-0.5), rel=1e-15)
+    assert s[1] == s[2] == 0.0
+    rng = make_rng(62)
+    assert all(sample_next(history, index, rng) <= 1.0 for _ in range(200))
+
+
 # ---------------------------------------------------------------------------
 # seeded series
 
@@ -597,12 +674,12 @@ def test_seeded_label_exchangeability():
     assert log_density(relabeled, H11) == log_density(out, H11)
 
 
-def _seeded_by_rebuilding(seed, m_new, index, rng):
+def _seeded_by_rebuilding(seed, m_new, index, rng, draw=sample_next):
     """simulate_seeded as defined by rebuilding the trajectory before each
-    sample_next draw and merging the draw into it."""
+    sample_next draw (or ``draw``) and merging the draw into it."""
     traj = seed
     for _ in range(m_new):
-        t = sample_next(traj, index, rng)
+        t = draw(traj, index, rng)
         rows = [[e.time, e.n_failures, e.n_censored] for e in traj.events]
         same = [row for row in rows if row[0] == t]
         if same:
@@ -646,9 +723,84 @@ def test_predictive_draws_same_with_or_without_memo(monkeypatch, make_index):
                                for _ in range(10)]))
         return out
 
-    remembered = draws(make_index())
+    warm = make_index()
+    remembered = draws(warm)
+    assert index_mod._walk_tables(warm).size > 0
     monkeypatch.setattr(index_mod, "_memo", lambda index: {})
-    assert draws(make_index()) == remembered
+    bare = make_index()
+    assert draws(bare) == remembered
+    # Nothing was remembered on the instance: no walk table outlived a draw.
+    assert "_memo" not in vars(bare)
+
+
+def _scalar_next(traj, index, rng):
+    """sample_next as a walk with direct scalar rate calls at every row
+    passed, as it was before the walk had tables: the stream oracle."""
+    alive = traj.n_initial
+    e_cont = rng.exponential()
+    t_prev = 0.0
+    for time, n_failures, n_censored in map(process._EVENT_ROW, traj.events):
+        h = index.block_rate(alive, 1)
+        span = time - t_prev
+        if h * span >= e_cont:
+            return t_prev + e_cont / h
+        e_cont -= h * span
+        if n_failures > 0:
+            r = alive - n_failures
+            keep = math.exp(index.log_unit_block_rate(r + 1, n_failures)
+                            - index.log_unit_block_rate(r, n_failures))
+            if rng.random() >= keep:
+                return time
+        alive -= n_failures + n_censored
+        t_prev = time
+    h = index.block_rate(alive, 1)
+    return t_prev + e_cont / h
+
+
+@pytest.mark.parametrize("tables", ["cold", "warm", "cap-8", "rows-8"])
+@pytest.mark.parametrize("make_index", [
+    lambda: HarmonicIndex(0.7, 2.3), lambda: BetaSplitIndex(1.0, -0.5),
+    lambda: GeometricIndex(0.5), lambda: GammaIndex(1.0, 1.0),
+    lambda: PowerIndex(0.9),
+], ids=["harmonic", "beta", "geometric", "gamma", "power"])
+def test_walk_draws_the_scalar_oracle_stream(monkeypatch, make_index,
+                                             tables):
+    index = make_index()
+    if tables == "cap-8":
+        monkeypatch.setattr(index_mod, "_WALK_MAX", 8)
+    if tables == "rows-8":
+        monkeypatch.setattr(index_mod, "_WALK_ROWS", 8)
+    rng = make_rng(43)
+    seed_traj = simulate(15, index, plan=CensoringPlan(
+        tuple(rng.uniform(0.4, 3.0, 15))), rng=rng)
+    assert seed_traj.n_censored > 0
+    if tables == "warm":
+        other = simulate(25, index, rng=make_rng(5))
+        simulate_seeded(other, 30, index, make_rng(6))
+        assert index_mod._walk_tables(index).size > 0
+    for _ in range(2):
+        state = rng.bit_generator.state
+        out = simulate_seeded(seed_traj, 30, index, rng)
+        draws = [sample_next(out, index, rng) for _ in range(15)]
+        after = rng.bit_generator.state
+        rng.bit_generator.state = state
+        assert _seeded_by_rebuilding(seed_traj, 30, index, rng,
+                                     draw=_scalar_next) == out
+        assert [_scalar_next(out, index, rng) for _ in range(15)] == draws
+        assert rng.bit_generator.state == after
+        walk = index_mod._walk_tables(index)
+        if tables == "cap-8":
+            assert walk.size <= 8
+        if tables == "rows-8":
+            assert max(map(len, [walk.hazard, *walk.keep.values()])) <= 8
+    # Each remembered float is the oracle's scalar expression, bit for bit.
+    for m, h in enumerate(walk.hazard):
+        assert h < 0.0 or h == index.block_rate(m, 1)
+    for d, col in walk.keep.items():
+        for r, k in enumerate(col):
+            assert k < 0.0 or k == math.exp(
+                index.log_unit_block_rate(r + 1, d)
+                - index.log_unit_block_rate(r, d))
 
 
 def test_second_seeded_series_on_warm_gamma_runs_no_quadrature(monkeypatch):
