@@ -453,15 +453,17 @@ class CharacteristicIndex:
     that the next failure block is that particular set.  Splitting
     probabilities depend only on the unit-scale sequence, so families with a
     multiplicative rate parameter expose it separately through ``scale``.
+    A family defines ``log_unit_block_rate`` or ``unit_block_rate``, and
+    each defaults to the other.
 
     Instances are immutable after construction and safe for concurrent reads.
     An instance remembers, as read-only arrays, each outer diagonal of log
     block rates it evaluates (one per n asked), and a separable one its
-    longest first-block terms; a gamma or power index also remembers each
-    scalar log rate it evaluates, up to ``_RATE_MEMO_MAX`` of them.  Every
-    instance remembers the hazards and atom factors its predictive walk
-    reads, up to ``_WALK_MAX`` doubles (1.1 MB).  The memo lives on the
-    instance, not in a shared cache.
+    longest first-block terms.  Every instance remembers the hazards and
+    atom factors its predictive walk reads, up to ``_WALK_MAX`` doubles
+    (1.1 MB); the scalar-rate memo of gamma and power indices belongs to
+    their base, ``_IntegralIndex``.  The memo lives on the instance, not in
+    a shared cache.
     """
 
     @property
@@ -472,7 +474,7 @@ class CharacteristicIndex:
         raise NotImplementedError
 
     def unit_block_rate(self, r: int, d: int) -> float:
-        raise NotImplementedError
+        return math.exp(self.log_unit_block_rate(r, d))
 
     def total_rate(self, n: int) -> float:
         if n < 0:
@@ -502,24 +504,6 @@ class CharacteristicIndex:
         return np.array([self.log_unit_block_rate(a, b)
                          for a, b in zip(r.tolist(), d.tolist())],
                         dtype=float)
-
-    def _log_difference(self, r: int, d: int) -> float:
-        """log of the signed d-th forward difference of the unit total rate
-        at r: the alternating sum where it is short and loses little to
-        cancellation, otherwise the family's integral ``_log_rate_quad``.
-        Each answer, not a failure, is remembered keyed by (r, d)."""
-        rates = _memo(self).setdefault("rates", {})
-        v = rates.get((r, d))
-        if v is not None:
-            return v
-        val, cancel = (_alternating_difference(self.unit_total_rate, r, d)
-                       if d <= _NAIVE_DIFF_MAX else (0.0, math.inf))
-        v = (math.log(val) if cancel <= _CANCEL_TOL
-             else self._log_rate_quad(r, d))
-        if len(rates) >= _RATE_MEMO_MAX:
-            rates.clear()
-        rates[(r, d)] = v
-        return v
 
     def _log_diagonal(self, n: int) -> np.ndarray:
         """log unit_block_rate(n - d, d), d = 1..n, from one ``_log_rates``
@@ -572,10 +556,8 @@ class CharacteristicIndex:
 
 
 @dataclass(frozen=True, repr=False)
-class HarmonicIndex(CharacteristicIndex):
-    """Digamma-difference family; its predictive distributions are the only
-    ones among Markov survival processes that vary weakly continuously with
-    the observed failure times."""
+class _NuRhoIndex(CharacteristicIndex):
+    """A family with total rate nu times a unit-scale sequence of rho."""
 
     nu: float = 1.0
     rho: float = 1.0
@@ -590,6 +572,25 @@ class HarmonicIndex(CharacteristicIndex):
     def scale(self) -> float:
         return self.nu
 
+
+@dataclass(frozen=True, repr=False)
+class _AlphaIndex(CharacteristicIndex):
+    """A family with one parameter alpha in (0, 1)."""
+
+    alpha: float = 0.5
+
+    def __post_init__(self):
+        if not (0.0 < self.alpha < 1.0):
+            raise ParameterError(
+                f"alpha must lie in (0, 1), got {self.alpha}")
+
+
+@dataclass(frozen=True, repr=False)
+class HarmonicIndex(_NuRhoIndex):
+    """Digamma-difference family; its predictive distributions are the only
+    ones among Markov survival processes that vary weakly continuously with
+    the observed failure times."""
+
     def unit_total_rate(self, n: int) -> float:
         return _digamma_difference(self.rho, n)
 
@@ -599,9 +600,6 @@ class HarmonicIndex(CharacteristicIndex):
         if self.rho < _STIRLING_MIN:
             return math.lgamma(d) + math.lgamma(a) - math.lgamma(a + d)
         return math.lgamma(d) - float(_log_rising(a, d))
-
-    def unit_block_rate(self, r: int, d: int) -> float:
-        return math.exp(self.log_unit_block_rate(r, d))
 
     def _log_terms(self, n: int):
         i = np.arange(n + 1, dtype=float)
@@ -676,53 +674,58 @@ def _trapezoid(a: np.ndarray, k: np.ndarray, beta: float) -> np.ndarray:
         return np.where(ok, log_at_0 + np.log(value), np.nan)
 
 
-def _quad_fallback(index, out: np.ndarray, r: np.ndarray,
-                   d: np.ndarray) -> np.ndarray:
-    """Recompute every non-finite entry of ``out`` (log rates at r, d) by the
-    index's scalar ``_log_rate_quad``, which checks its own convergence."""
-    for i in np.flatnonzero(~np.isfinite(out)).tolist():
-        out[i] = index._log_rate_quad(int(r[i]), int(d[i]))
-    return out
-
-
-@dataclass(frozen=True, repr=False)
-class GammaIndex(CharacteristicIndex):
-    """Logarithmic family generated by a gamma random hazard measure."""
-
-    nu: float = 1.0
-    rho: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.nu < math.inf):
-            raise ParameterError(f"nu must be finite and > 0, got {self.nu}")
-        if not (0.0 < self.rho < math.inf):
-            raise ParameterError(f"rho must be finite and > 0, got {self.rho}")
-
-    @property
-    def scale(self) -> float:
-        return self.nu
-
-    def unit_total_rate(self, n: int) -> float:
-        return math.log1p(n / self.rho)
+class _IntegralIndex(CharacteristicIndex):
+    """Gamma and power: rates are integrals I(a, k, beta).  A family gives
+    its closed form at d = 1 (``_log_singletons``), its trapezoid rule above
+    it (``_log_blocks``) and its scalar integral (``_log_rate_quad``)."""
 
     def log_unit_block_rate(self, r: int, d: int) -> float:
         _check_rd(r, d)
         return self._log_difference(r, d)
 
-    def unit_block_rate(self, r: int, d: int) -> float:
-        return math.exp(self.log_unit_block_rate(r, d))
+    def _log_difference(self, r: int, d: int) -> float:
+        """log of the signed d-th forward difference of the unit total rate
+        at r: the alternating sum where it is short and loses little to
+        cancellation, otherwise the family's integral ``_log_rate_quad``.
+        Each answer, not a failure, is remembered keyed by (r, d)."""
+        rates = _memo(self).setdefault("rates", {})
+        v = rates.get((r, d))
+        if v is not None:
+            return v
+        val, cancel = (_alternating_difference(self.unit_total_rate, r, d)
+                       if d <= _NAIVE_DIFF_MAX else (0.0, math.inf))
+        v = (math.log(val) if cancel <= _CANCEL_TOL
+             else self._log_rate_quad(r, d))
+        if len(rates) >= _RATE_MEMO_MAX:
+            rates.clear()
+        rates[(r, d)] = v
+        return v
 
     def _log_rates(self, r: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Every requested rate in one array pass: d = 1 in closed form,
-        log log(1 + 1 / (rho + r)); larger blocks as I(rho + r, d, 0) by
-        the trapezoid rule of ``_trapezoid``.  An entry whose error
-        estimate misses the tolerance is recomputed by ``_log_rate_quad``."""
-        a = self.rho + r.astype(float)
-        dd = d.astype(float)
-        out = np.log(np.log1p(1.0 / a))
+        """Every requested rate in one array pass.  An entry whose error
+        estimate misses the tolerance is recomputed by ``_log_rate_quad``,
+        which checks its own convergence."""
+        rr, dd = r.astype(float), d.astype(float)
+        out = self._log_singletons(rr)
         big = dd > 1
-        out[big] = _trapezoid(a[big], dd[big], 0.0)
-        return _quad_fallback(self, out, r, d)
+        out[big] = self._log_blocks(rr[big], dd[big])
+        for i in np.flatnonzero(~np.isfinite(out)).tolist():
+            out[i] = self._log_rate_quad(int(r[i]), int(d[i]))
+        return out
+
+
+@dataclass(frozen=True, repr=False)
+class GammaIndex(_NuRhoIndex, _IntegralIndex):
+    """Logarithmic family generated by a gamma random hazard measure."""
+
+    def unit_total_rate(self, n: int) -> float:
+        return math.log1p(n / self.rho)
+
+    def _log_singletons(self, r: np.ndarray) -> np.ndarray:
+        return np.log(np.log1p(1.0 / (self.rho + r)))
+
+    def _log_blocks(self, r: np.ndarray, d: np.ndarray) -> np.ndarray:
+        return _trapezoid(self.rho + r, d, 0.0)
 
     def _log_rate_quad(self, r: int, d: int) -> float:
         a = self.rho + r
@@ -739,48 +742,31 @@ class GammaIndex(CharacteristicIndex):
 
 
 @dataclass(frozen=True, repr=False)
-class PowerIndex(CharacteristicIndex):
+class PowerIndex(_AlphaIndex, _IntegralIndex):
     """Fractional-power family n**alpha for 0 < alpha < 1."""
-
-    alpha: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ParameterError(
-                f"alpha must lie in (0, 1), got {self.alpha}")
 
     def unit_total_rate(self, n: int) -> float:
         return float(n) ** self.alpha
 
-    def log_unit_block_rate(self, r: int, d: int) -> float:
-        _check_rd(r, d)
-        return self._log_difference(r, d)
-
-    def unit_block_rate(self, r: int, d: int) -> float:
-        return math.exp(self.log_unit_block_rate(r, d))
-
-    def _log_rates(self, r: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Every requested rate in one array pass: d = 1 in closed form,
-        log((r + 1)**alpha - r**alpha) = alpha log r
-        + log expm1(alpha log1p(1 / r)), and 0 at r = 0.  Larger blocks by
-        the trapezoid rule of ``_trapezoid``: alpha / Gamma(1 - alpha)
-        I(r, d, alpha) for r >= 1 and, integrated by parts,
-        d / Gamma(1 - alpha) I(1, d - 1, alpha - 1) at r = 0, whose
-        integrand decays exponentially.  An entry whose error estimate
-        misses the tolerance is recomputed by ``_log_rate_quad``."""
+    def _log_singletons(self, r: np.ndarray) -> np.ndarray:
+        """log((r + 1)**alpha - r**alpha) = alpha log r
+        + log expm1(alpha log1p(1 / r)), and 0 at r = 0."""
         al = self.alpha
-        rr = r.astype(float)
-        dd = d.astype(float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(rr > 0, al * np.log(rr)
-                           + np.log(np.expm1(al * np.log1p(1.0 / rr))), 0.0)
-        lg = math.lgamma(1.0 - al)
-        inner = (dd > 1) & (rr > 0)
-        out[inner] = math.log(al) - lg + _trapezoid(rr[inner], dd[inner], al)
-        top = (dd > 1) & (rr == 0)
-        out[top] = np.log(dd[top]) - lg + _trapezoid(
-            np.ones(top.sum()), dd[top] - 1.0, al - 1.0)
-        return _quad_fallback(self, out, r, d)
+            return np.where(r > 0, al * np.log(r)
+                            + np.log(np.expm1(al * np.log1p(1.0 / r))), 0.0)
+
+    def _log_blocks(self, r: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """alpha / Gamma(1 - alpha) I(r, d, alpha) for r >= 1 and,
+        integrated by parts, d / Gamma(1 - alpha) I(1, d - 1, alpha - 1) at
+        r = 0, whose integrand decays exponentially."""
+        al, lg = self.alpha, math.lgamma(1.0 - self.alpha)
+        top = r == 0
+        out = np.empty(len(r))
+        out[~top] = math.log(al) - lg + _trapezoid(r[~top], d[~top], al)
+        out[top] = np.log(d[top]) - lg + _trapezoid(
+            np.ones(top.sum()), d[top] - 1.0, al - 1.0)
+        return out
 
     def _log_rate_quad(self, r: int, d: int) -> float:
         al = self.alpha
@@ -802,28 +788,18 @@ class PowerIndex(CharacteristicIndex):
 
 
 @dataclass(frozen=True, repr=False)
-class GeometricIndex(CharacteristicIndex):
+class GeometricIndex(_AlphaIndex):
     """Bounded family 1 - alpha**n with binomial block rates."""
-
-    alpha: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ParameterError(
-                f"alpha must lie in (0, 1), got {self.alpha}")
 
     def unit_total_rate(self, n: int) -> float:
         return -math.expm1(n * math.log(self.alpha))
 
     def log_unit_block_rate(self, r: int, d: int) -> float:
         _check_rd(r, d)
-        return r * math.log(self.alpha) + d * math.log1p(-self.alpha)
+        return self._log_rates(r, d)
 
-    def _log_rates(self, r: np.ndarray, d: np.ndarray) -> np.ndarray:
+    def _log_rates(self, r, d):
         return r * math.log(self.alpha) + d * math.log1p(-self.alpha)
-
-    def unit_block_rate(self, r: int, d: int) -> float:
-        return math.exp(self.log_unit_block_rate(r, d))
 
     def _log_terms(self, n: int):
         i = np.arange(n + 1, dtype=float)
@@ -916,9 +892,6 @@ class BetaSplitIndex(CharacteristicIndex):
     def log_unit_block_rate(self, r: int, d: int) -> float:
         _check_rd(r, d)
         return float(self._log_rates(r, d))
-
-    def unit_block_rate(self, r: int, d: int) -> float:
-        return math.exp(self.log_unit_block_rate(r, d))
 
     def _log_terms(self, n: int):
         i = np.arange(n + 1, dtype=float)

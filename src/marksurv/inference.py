@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from statistics import NormalDist
 from typing import Callable, Optional
@@ -230,25 +230,12 @@ class FitResult:
     se_nu: float
     se_log_rho: float
     se_log_nu: float
-    profile: tuple = ()
     fixed_rho: bool = False
     boundary_warning: bool = False
+    profile: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "method": self.method,
-            "rho": self.rho,
-            "nu": self.nu,
-            "loglik": self.loglik,
-            "se_rho": self.se_rho,
-            "se_nu": self.se_nu,
-            "se_log_rho": self.se_log_rho,
-            "se_log_nu": self.se_log_nu,
-            "fixed_rho": self.fixed_rho,
-            "boundary_warning": self.boundary_warning,
-            "profile": [[r, ll] for r, ll in self.profile],
-        }
+        return {**asdict(self), "profile": [list(p) for p in self.profile]}
 
     def to_json(self, **kw) -> str:
         return json.dumps(self.to_dict(), **kw)

@@ -29,9 +29,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .index import (CharacteristicIndex, ParameterError, _check_risk_set,
-                    _first_block_reader, _forbidden_block, _read_only,
-                    _walk_tables)
+from .index import (CharacteristicIndex, NumericError, ParameterError,
+                    _check_risk_set, _first_block_reader, _forbidden_block,
+                    _read_only, _walk_tables)
 from .ranking import _block_sweep, sample_first_block_size
 
 __all__ = [
@@ -387,7 +387,9 @@ def predictive_survival(t, history: RiskSetTrajectory,
 
     Right-continuous and non-increasing, with an atom at each observed
     failure time and a continuous hazard between events that never shuts
-    off, so the curve decays to zero.
+    off, so the curve decays to zero.  The decay scale 1 / hazard can lie
+    beyond the float range (a geometric index with 1,100 at risk): the
+    curve then reads 1 where the true value is 1 - O(1e-325).
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if not np.all(t_arr >= 0.0):
@@ -433,6 +435,9 @@ def _draw_next(alive: int, rows, index: CharacteristicIndex, rng) -> float:
     h = hazard[alive] if alive < len(hazard) else -1.0
     if h < 0.0:
         h = walk.hazard_at(index, alive)
+    if h == 0.0:
+        raise NumericError(f"the singleton hazard with {alive} at risk is 0 "
+                           "in doubles: the next lifetime overflows")
     return t_prev + e_cont / h
 
 
@@ -453,7 +458,8 @@ def sample_next(history: RiskSetTrajectory, index: CharacteristicIndex,
     exponential, and each failure atom is survived by an independent
     Bernoulli; the draw is the minimum of the two mechanisms, which matches
     the predictive survival product exactly.  A history with a failure
-    block the index forbids raises ParameterError.
+    block the index forbids raises ParameterError, and one whose final
+    singleton hazard is 0 in doubles raises NumericError.
     """
     _check_blocks(history, index)
     return _draw_next(history.n_initial, map(_EVENT_ROW, history.events),

@@ -519,6 +519,62 @@ def test_parameter_domains():
         index_from_spec("nonsense")
 
 
+# Parameters away from each family's defaults, for every family but measure.
+SPEC_PARAMS = {"harmonic": {"nu": 0.7, "rho": 2.3},
+               "gamma": {"nu": 0.7, "rho": 2.3},
+               "power": {"alpha": 0.3}, "geometric": {"alpha": 0.3},
+               "linear": {}, "linear-shift": {"rho": 0.4},
+               "beta": {"rho": 2.0, "beta": -0.5}}
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_PARAMS))
+def test_family_identity_round_trips_and_hashes(name):
+    ix = index_from_spec(name, **SPEC_PARAMS[name])
+    text = ix.describe()
+    family, _, rest = text[:-1].partition("(")
+    params = {k: float(v) for k, v in
+              (item.split("=") for item in rest.split(", ") if item)}
+    assert family == name and params == SPEC_PARAMS[name]
+    twin = index_from_spec(family, **params)
+    assert twin.describe() == text
+    assert twin == ix and hash(twin) == hash(ix) and twin is not ix
+    assert type(twin) is FAMILIES[name]
+
+
+def test_families_sharing_parameters_stay_distinct():
+    from marksurv.cli import build_parser
+    from marksurv.inference import FITTED_FAMILIES
+
+    assert set(SPEC_PARAMS) == set(FAMILIES) - {"measure"}
+    assert HarmonicIndex(1.0, 1.0) != GammaIndex(1.0, 1.0)
+    assert PowerIndex(0.5) != GeometricIndex(0.5)
+    assert [f.name for f in fields(GammaIndex)] == ["nu", "rho"]
+    assert FITTED_FAMILIES == ("harmonic", "gamma")
+    commands = build_parser()._subparsers._group_actions[0].choices
+    for command in ("simulate", "blocks"):
+        family = next(a for a in commands[command]._actions
+                      if a.dest == "family")
+        assert family.choices == ["harmonic", "gamma", "power", "geometric",
+                                  "linear", "linear-shift", "beta"]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: HarmonicIndex(0.0, 1.0), "nu must be finite and > 0, got 0.0"),
+    (lambda: HarmonicIndex(1.0, -2.0), "rho must be finite and > 0, got -2.0"),
+    (lambda: GammaIndex(math.inf, 1.0), "nu must be finite and > 0, got inf"),
+    (lambda: GammaIndex(1.0, 0.0), "rho must be finite and > 0, got 0.0"),
+    (lambda: PowerIndex(1.0), "alpha must lie in (0, 1), got 1.0"),
+    (lambda: GeometricIndex(0.0), "alpha must lie in (0, 1), got 0.0"),
+    (lambda: BetaSplitIndex(1.0, -1.0),
+     "beta must be finite and > -1, got -1.0"),
+    (lambda: LinearShiftIndex(-0.5), "rho must be finite and >= 0, got -0.5"),
+])
+def test_parameter_domain_messages(make, message):
+    with pytest.raises(ParameterError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("family, param", [
     (name, f.name) for name, cls in FAMILIES.items() for f in fields(cls)
     if f.type in (float, "float")])

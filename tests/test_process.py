@@ -8,8 +8,8 @@ from marksurv import index as index_mod
 from marksurv import process
 from marksurv.index import (BetaSplitIndex, CharacteristicIndex,
                             GammaIndex, GeometricIndex, HarmonicIndex,
-                            LinearIndex, LinearShiftIndex, ParameterError,
-                            PowerIndex, ResourceError)
+                            LinearIndex, LinearShiftIndex, NumericError,
+                            ParameterError, PowerIndex, ResourceError)
 from marksurv.process import (CensoringPlan, Event, RiskSetTrajectory,
                               TimeTransform, log_density,
                               log_density_semimarkov, predictive_survival,
@@ -610,6 +610,60 @@ def test_block_the_next_lifetime_cannot_survive():
     assert s[1] == s[2] == 0.0
     rng = make_rng(62)
     assert all(sample_next(history, index, rng) <= 1.0 for _ in range(200))
+
+
+def test_zero_singleton_hazard_raises_numeric_error():
+    # alpha**1100 (1 - alpha) underflows to 0: no lifetime can be drawn.
+    history = RiskSetTrajectory(1100, ())
+    index = GeometricIndex(0.5)
+    for call in (lambda: sample_next(history, index, make_rng(0)),
+                 lambda: simulate_seeded(history, 2, index, make_rng(0))):
+        with pytest.raises(NumericError, match=r"^the singleton hazard with "
+                           r"1100 at risk is 0 in doubles"):
+            call()
+    # The curve is right in doubles: 1 - O(1e-325) reads 1.
+    assert predictive_survival([1.0, 1e6], history, index).tolist() \
+        == [1.0, 1.0]
+
+
+# Predictive curves at these times, for histories with a tie of 3 at t = 1
+# against the same failures split at 1, 1 + delta and 1 + 2 delta.
+CONTINUITY_GRID = [0.5, 1.001, 2.0, 5.0]
+
+
+def continuity_gaps(index, delta):
+    """Largest predictive_survival gap between the tied and split histories
+    of 10 at risk, without and with an earlier event censoring 2."""
+    gaps = []
+    for head in ((), (Event(0.5, 0, 2),)):
+        tied = RiskSetTrajectory(10, head + (Event(1.0, 3, 0),))
+        split = RiskSetTrajectory(10, head + tuple(
+            Event(1.0 + j * delta, 1, 0) for j in range(3)))
+        gaps.append(np.abs(
+            predictive_survival(CONTINUITY_GRID, tied, index)
+            - predictive_survival(CONTINUITY_GRID, split, index)).max())
+    return np.array(gaps)
+
+
+@pytest.mark.parametrize("index", [HarmonicIndex(0.7, 2.3),
+                                   HarmonicIndex(1.0, 0.5),
+                                   HarmonicIndex(2.0, 40.0)])
+def test_harmonic_predictive_is_weakly_continuous(index):
+    # The gap vanishes linearly with delta (measured: ratio 100, and at
+    # most 4.5e-8 at delta = 1e-6).
+    small = continuity_gaps(index, 1e-6)
+    assert small.max() <= 1e-7
+    ratio = continuity_gaps(index, 1e-4) / small
+    assert np.all((50.0 <= ratio) & (ratio <= 200.0))
+
+
+@pytest.mark.parametrize("index", [
+    GammaIndex(0.7, 2.3), PowerIndex(0.5), GeometricIndex(0.5),
+    BetaSplitIndex(1.0, -0.5), BetaSplitIndex(2.0, 0.5),
+], ids=["gamma", "power", "geometric", "beta-0.5", "beta0.5"])
+def test_other_predictives_jump_when_a_tie_splits(index):
+    # Measured: at least 2.57e-4 at delta = 1e-6.
+    assert continuity_gaps(index, 1e-6).min() >= 1e-4
 
 
 # ---------------------------------------------------------------------------
