@@ -105,6 +105,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.fix_rho is not None and (args.family == "exponential"
+                                     or args.method == "moment"):
+        raise ParameterError("--fix-rho applies only to the mle fit of "
+                             f"{' or '.join(FITTED_FAMILIES)}")
     data = load_dataset(args.data)
     if args.family == "exponential":
         base = fit_exponential(data)
@@ -132,7 +136,8 @@ def cmd_fit(args) -> int:
 
 def _round_floats(obj):
     if isinstance(obj, float):
-        return float(_fmt(obj)) if math.isfinite(obj) else obj
+        # JSON has no NaN or infinity
+        return float(_fmt(obj)) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, list):

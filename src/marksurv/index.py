@@ -594,6 +594,11 @@ class HarmonicIndex(_NuRhoIndex):
     def unit_total_rate(self, n: int) -> float:
         return _digamma_difference(self.rho, n)
 
+    @staticmethod
+    def _rho_at_unit_rate(x: float) -> float:
+        """The rho at which unit_total_rate(1) = 1 / rho equals x."""
+        return 1.0 / x
+
     def log_unit_block_rate(self, r: int, d: int) -> float:
         _check_rd(r, d)
         a = self.rho + r
@@ -720,6 +725,12 @@ class GammaIndex(_NuRhoIndex, _IntegralIndex):
 
     def unit_total_rate(self, n: int) -> float:
         return math.log1p(n / self.rho)
+
+    @staticmethod
+    def _rho_at_unit_rate(x: float) -> float:
+        """The rho at which unit_total_rate(1) = log(1 + 1 / rho) equals x:
+        1 / expm1(x), written to underflow rather than overflow."""
+        return math.exp(-x) / -math.expm1(-x)
 
     def _log_singletons(self, r: np.ndarray) -> np.ndarray:
         return np.log(np.log1p(1.0 / (self.rho + r)))

@@ -3,9 +3,11 @@
 The fitted families have total rate nu * Psi_rho(n), so for fixed rho the
 distinct-failure-time count and the integrated unit rate are sufficient and
 the scale maximizes in closed form; rho is profiled on a log grid with
-golden-section refinement.  A moment-style estimator matching the observed
-death count, profile-likelihood intervals, the Kaplan-Meier product-limit
-estimator, and empirical-Bayes predictive curves round out the module.
+golden-section refinement; standard errors come from the profile's
+curvature in log rho.  A moment-style estimator matching the observed death
+count, whose root is also in closed form, profile-likelihood intervals, the
+Kaplan-Meier product-limit estimator, and empirical-Bayes predictive curves
+round out the module.
 """
 
 from __future__ import annotations
@@ -56,20 +58,15 @@ FITTED_FAMILIES = tuple(name for name, cls in FAMILIES.items()
 # Profile grid on log rho; wide because the profile is typically flat far
 # from the origin.
 _PROFILE_GRID = (-3.0, 8.0, 60)
-# Bracket of log rho searched for the moment equation's root.
-_MOMENT_BRACKET = (-20.0, 25.0)
-# The moment iteration stops once log rho moves by less than _MOMENT_TOL,
-# and fails after _MOMENT_MAX_ITER steps.
+# The moment iteration stops once rho moves by less than _MOMENT_TOL
+# relative, and fails after _MOMENT_MAX_ITER steps.
 _MOMENT_TOL = 1e-8
 _MOMENT_MAX_ITER = 200
 # The golden-section search on log rho stops once its bracket is this narrow.
 _GOLDEN_TOL = 1e-6
-# Brent's method stops as scipy.optimize.brentq does by default.
-_BRENT_XTOL = 1e-12
-_BRENT_RTOL = 4 * math.ulp(1.0)
-_BRENT_MAX_ITER = 100
-# Step of the central-difference Hessian in (log rho, log nu).
-_HESSIAN_STEP = 1e-4
+# Step in log rho of the central differences of the profile log likelihood;
+# their rounding, about 4 eps |loglik| / h^2, dominates at smaller steps.
+_HESSIAN_STEP = 1e-3
 
 
 def family_index(family: str, rho: float, nu: float = 1.0) -> CharacteristicIndex:
@@ -260,119 +257,46 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> float:
     return 0.5 * (a + b)
 
 
-def _brentq(f: Callable[[float], float], xa: float, xb: float) -> float:
-    """Root of f on [xa, xb], where f changes sign, by Brent's method step
-    for step as scipy.optimize.brentq takes it (inverse quadratic or secant
-    steps inside the bracket, else bisection), so the root agrees with
-    scipy's to the last bit."""
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if math.isnan(fpre) or math.isnan(fcur):
-        raise NumericError("root bracket has a NaN end")
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise NumericError(f"no sign change on [{xa:g}, {xb:g}]: "
-                           f"f = {fpre:.6g}, {fcur:.6g}")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAX_ITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                # In C the quotient is infinite or NaN, a step the test
-                # below rejects, so the method bisects.
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-        if math.isnan(fcur):
-            raise NumericError(f"root search met NaN at {xcur!r}")
-    raise NumericError(
-        f"root search failed to converge in {_BRENT_MAX_ITER} steps")
+def _standard_errors(data: Dataset, family: str, rho: float, k: int,
+                     sums) -> tuple:
+    """Standard errors of (log rho, log nu) from the profile in g = log rho.
 
-
-def _hessian_2d(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    h = _HESSIAN_STEP
-    hess = np.empty((2, 2))
-    f0 = f(x)
-    for i in range(2):
-        ei = np.zeros(2)
-        ei[i] = h
-        hess[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / h ** 2
-    e0 = np.array([h, 0.0])
-    e1 = np.array([0.0, h])
-    hess[0, 1] = hess[1, 0] = (
-        f(x + e0 + e1) - f(x + e0 - e1) - f(x - e0 + e1) + f(x - e0 - e1)
-    ) / (4.0 * h ** 2)
-    return hess
-
-
-def _standard_errors(data: Dataset, family: str, rho: float, nu: float):
-    """Standard errors of (log rho, log nu) from the numeric Hessian.
-
-    The nine points of the Hessian share three values of rho, and nu enters
-    the log likelihood in closed form, so (U, S) is evaluated once per rho.
+    The scale maximizes the log likelihood at every rho, so with lp(g) the
+    profile log likelihood the information of g is -lp'', the Schur
+    complement of the 2 x 2 Hessian in (log rho, log nu), and var(log nu) =
+    1/k - (d log U / dg)^2 / lp''.  Both take (U, S) at rho e^-h and rho e^h
+    besides ``sums`` at rho.
     """
-    k = data.trajectory.num_failure_times
-    sums = {}
-
-    def f(x: np.ndarray) -> float:
-        at = math.exp(x[0])
-        if at not in sums:
-            sums[at] = _rate_sums(data, family, at)
-        return _log_likelihood(k, math.exp(x[1]), sums[at])
-
-    hess = _hessian_2d(f, np.array([math.log(rho), math.log(nu)]))
-    try:
-        cov = np.linalg.inv(-hess)
-        se_log_rho = math.sqrt(max(cov[0, 0], 0.0))
-        se_log_nu = math.sqrt(max(cov[1, 1], 0.0))
-    except np.linalg.LinAlgError:
-        se_log_rho = se_log_nu = math.nan
-    return se_log_rho, se_log_nu
+    h = _HESSIAN_STEP
+    lo, hi = (_rate_sums(data, family, rho * math.exp(s)) for s in (-h, h))
+    curv = (_profile_from_sums(k, lo) - 2.0 * _profile_from_sums(k, sums)
+            + _profile_from_sums(k, hi)) / h ** 2
+    if curv == 0.0:
+        return math.nan, math.nan
+    slope = (math.log(hi[0]) - math.log(lo[0])) / (2.0 * h)
+    return (math.sqrt(max(-1.0 / curv, 0.0)),
+            math.sqrt(max(1.0 / k - slope ** 2 / curv, 0.0)))
 
 
 def _fit_at(data: Dataset, family: str, method: str, rho: float,
-            **extra) -> FitResult:
+            fixed_rho: bool = False, **extra) -> FitResult:
     """Scale, log likelihood and standard errors at the estimated rho; the
-    scale and the log likelihood from one evaluation of (U, S) there."""
+    scale and the log likelihood from one evaluation of (U, S) there.  A
+    fixed rho has no standard error and a one-point profile."""
     k = data.trajectory.num_failure_times
     sums = _rate_sums(data, family, rho)
     nu = _nu_hat(k, sums[0])
-    se_log_rho, se_log_nu = _standard_errors(data, family, rho, nu)
+    if fixed_rho:
+        se_log_rho, se_log_nu = 0.0, 1.0 / math.sqrt(k)
+        extra["profile"] = ((rho, _profile_from_sums(k, sums)),)
+    else:
+        se_log_rho, se_log_nu = _standard_errors(data, family, rho, k, sums)
     return FitResult(
         family=family, method=method, rho=rho, nu=nu,
         loglik=_log_likelihood(k, nu, sums),
         se_rho=rho * se_log_rho, se_nu=nu * se_log_nu,
-        se_log_rho=se_log_rho, se_log_nu=se_log_nu, **extra)
+        se_log_rho=se_log_rho, se_log_nu=se_log_nu, fixed_rho=fixed_rho,
+        **extra)
 
 
 def fit_mle(data: Dataset, family: str,
@@ -381,24 +305,15 @@ def fit_mle(data: Dataset, family: str,
 
     The scale profiles out analytically; rho is maximized on a log grid with
     golden-section refinement, unless ``fix_rho`` pins it as a tuning
-    parameter.  Standard errors come from the numeric Hessian on the log
-    scale and transfer to the original scale by the delta method.
+    parameter.  Standard errors on the log scale come from the curvature
+    of the profile log likelihood (see ``_standard_errors``); a fixed rho
+    leaves the scale's conditional error 1/sqrt(k).  They transfer to the
+    original scale by the delta method.
     """
     if data.n_failures == 0:
         raise ParameterError("fitting needs at least one failure")
     if fix_rho is not None:
-        rho = float(fix_rho)
-        k = data.trajectory.num_failure_times
-        sums = _rate_sums(data, family, rho)
-        nu = _nu_hat(k, sums[0])
-        se_log_nu = 1.0 / math.sqrt(k)
-        return FitResult(
-            family=family, method="mle", rho=rho, nu=nu,
-            loglik=_log_likelihood(k, nu, sums),
-            se_rho=0.0, se_nu=nu * se_log_nu,
-            se_log_rho=0.0, se_log_nu=se_log_nu,
-            profile=((rho, _profile_from_sums(k, sums)),),
-            fixed_rho=True)
+        return _fit_at(data, family, "mle", float(fix_rho), fixed_rho=True)
 
     grid = np.linspace(*_PROFILE_GRID)
     values = np.array([profile_loglik(data, family, math.exp(g))
@@ -416,36 +331,34 @@ def fit_mle(data: Dataset, family: str,
 
 
 def fit_moment(data: Dataset, family: str) -> FitResult:
-    """Moment-style fit: alternate the closed-form scale estimate with the
-    one-dimensional root matching the observed death count to the implied
-    per-individual rate times total risk time."""
+    """Moment-style fit: match the observed death count to the implied
+    per-individual rate nu Psi_rho(1) times the total risk time.  Each step
+    takes the closed-form scale at rho, then the rho solving the equation
+    at that scale, also in closed form, since Psi_rho(1) is 1/rho for
+    harmonic and log(1 + 1/rho) for gamma."""
     if data.n_failures == 0:
         raise ParameterError("fitting needs at least one failure")
     traj = data.trajectory
-    deaths = traj.n_deaths
-    if traj.num_failure_times == deaths:
-        # without tied failures the death-count equation is only satisfied
-        # in the iid-exponential limit, so no finite estimate exists
+    deaths, k = traj.n_deaths, traj.num_failure_times
+    # Psi_rho(1) <= Psi_rho(m) <= m Psi_rho(1), so the implied rate
+    # k Psi_rho(1) / U lies strictly between k / (risk time) and
+    # k / (last time at risk).
+    if k == deaths:
         raise ParameterError(
             "moment estimation needs at least one tied failure time")
     target = deaths / _risk_time(traj)
-
-    log_rho = 0.0
+    if target * traj.time[-1] >= k:
+        raise ParameterError("moment equation has no root: deaths per unit "
+                             "risk time reach k / (last time at risk)")
+    rho = 1.0
     for _ in range(_MOMENT_MAX_ITER):
-        nu = mle_nu_given_rho(data, family, math.exp(log_rho))
-
-        def gap(g: float, _nu=nu) -> float:
-            idx = family_index(family, math.exp(g))
-            return _nu * idx.unit_total_rate(1) - target
-
-        new_log_rho = _brentq(gap, *_MOMENT_BRACKET)
-        if abs(new_log_rho - log_rho) < _MOMENT_TOL:
-            log_rho = new_log_rho
+        nu = mle_nu_given_rho(data, family, rho)
+        rho, last = FAMILIES[family]._rho_at_unit_rate(target / nu), rho
+        if abs(rho - last) < _MOMENT_TOL * last:
             break
-        log_rho = new_log_rho
     else:
         raise NumericError("moment iteration failed to converge")
-    return _fit_at(data, family, "moment", math.exp(log_rho))
+    return _fit_at(data, family, "moment", rho)
 
 
 def profile_interval(fit: FitResult, level: float = 0.95):

@@ -118,8 +118,8 @@ def test_overflowing_time_exits_with_data_code(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("method", ["moment", "both"])
 def test_moment_fit_at_huge_times_exits_ok(tmp_path, capsys, method):
-    # Rates and the moment target near 1e-300: an interpolation step of the
-    # root finder divides by an underflowed 0 and must bisect instead.
+    # Rates and the moment target near 1e-300: the closed-form root reads
+    # only their ratio, which the time scale does not move.
     src = tmp_path / "huge.csv"
     src.write_text("time,status\n1e300,1\n1e300,1\n2e300,1\n")
     for family in ("harmonic", "gamma"):
@@ -163,6 +163,34 @@ def test_fit_rejects_index_options(tmp_path, capsys, option):
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err
     assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize("option", [["--method", "moment"],
+                                    ["--family", "exponential"]],
+                         ids=["moment", "exponential"])
+def test_fix_rho_outside_an_mle_fit_is_a_usage_error(tmp_path, capsys,
+                                                     option):
+    code = run(["fit", "--data", "builtin:gehan", *option, "--fix-rho", 5,
+                "--out", tmp_path / "fit.json"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --fix-rho") and err.count("\n") == 1
+    assert not (tmp_path / "fit.json").exists()
+
+
+def test_fixed_rho_fit_writes_standard_json(tmp_path, capsys):
+    out = tmp_path / "fit.json"
+    assert run(["fit", "--data", "builtin:gehan", "--method", "both",
+                "--fix-rho", 5, "--out", out]) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not standard JSON")
+
+    payload = json.loads(out.read_text(), parse_constant=reject)
+    assert payload["mle"]["fixed_rho"] and payload["mle"]["rho"] == 5.0
+    assert payload["mle"]["ci_log_rho_95"] == [None, None]
+    # --method both fixes rho for the mle fit only
+    assert not payload["moment"]["fixed_rho"]
 
 
 def test_unwritable_output_exits_with_data_code(tmp_path, capsys):

@@ -441,6 +441,79 @@ def test_weak_continuity_separates_families():
     assert abs(weak_continuity_defect(BetaSplitIndex(2.0, 0.0), 3, 4)) < 1e-12
 
 
+# The converse: at d = 2, weak continuity and the additive identity give
+# 2 / a(r + 1) = 1 / a(r) + 1 / a(r + 2) for a(r) = lambda(r, 1), so 1 / a(r)
+# is arithmetic, a(r) = nu / (rho + r), and lambda(0, 1), lambda(1, 1) fix
+# both parameters.  Every other rate then follows by products, with no
+# cancellation: lambda(0, d + 1) = lambda(0, d) d / (rho + d) and
+# lambda(r + 1, d) = lambda(r, d) (rho + r) / (rho + r + d).
+_CONVERSE_INDICES = [HarmonicIndex(0.7, 2.3), HarmonicIndex(1.0, 0.5)]
+
+
+def _two_rate_parameters(ix):
+    """(nu, rho) read off lambda(0, 1) and lambda(1, 1)."""
+    a0, a1 = ix.block_rate(0, 1), ix.block_rate(1, 1)
+    return a0 * a1 / (a0 - a1), a1 / (a0 - a1)
+
+
+def _converse_pairs(seed, count=400, top=1000):
+    """Seeded (r, d) with d >= 1 and r + d <= top."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for n in rng.integers(1, top + 1, size=count).tolist():
+        d = int(rng.integers(1, n + 1))
+        pairs.append((n - d, d))
+    return pairs
+
+
+def _rates_by_products(a0, rho, pairs):
+    """lambda(r, d) at each pair from lambda(0, 1) = a0 and rho alone."""
+    first = [a0]
+    for d in range(1, max(d for _, d in pairs)):
+        first.append(first[-1] * d / (rho + d))
+    rates = []
+    for r, d in pairs:
+        v = first[d - 1]
+        for j in range(r):
+            v *= (rho + j) / (rho + j + d)
+        rates.append(v)
+    return rates
+
+
+@pytest.mark.parametrize("ix", _CONVERSE_INDICES, ids=str)
+def test_two_rates_recover_the_harmonic_parameters(ix):
+    nu, rho = _two_rate_parameters(ix)
+    assert nu == pytest.approx(ix.nu, rel=1e-14, abs=0.0)
+    assert rho == pytest.approx(ix.rho, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("ix", _CONVERSE_INDICES, ids=str)
+def test_product_recursion_matches_high_precision_rates(ix):
+    pairs = _converse_pairs(71)
+    _, rho = _two_rate_parameters(ix)
+    got = _rates_by_products(ix.block_rate(0, 1), rho, pairs)
+    with mp.workdps(30):
+        nu, rho_mp = mp.mpf(ix.nu), mp.mpf(ix.rho)
+        worst = max(abs(mp.mpf(v) / (nu * mp.beta(d, rho_mp + r)) - 1)
+                    for v, (r, d) in zip(got, pairs))
+    assert worst <= 1e-13
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "HarmonicIndex below rho = 100 takes lgamma(d) + lgamma(rho + r) - "
+    "lgamma(rho + r + d), which loses about eps * lgamma(rho + r + d) to "
+    "cancellation (ROADMAP item 7, harmonic log rates): up to 1.6e-12 "
+    "relative from the product recursion on these (r, d)"))
+@pytest.mark.parametrize("ix", _CONVERSE_INDICES, ids=str)
+def test_harmonic_rates_within_1e13_of_the_product_recursion(ix):
+    pairs = _converse_pairs(71)
+    _, rho = _two_rate_parameters(ix)
+    want = _rates_by_products(ix.block_rate(0, 1), rho, pairs)
+    worst = max(abs(ix.block_rate(r, d) / v - 1)
+                for v, (r, d) in zip(want, pairs))
+    assert worst <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # family-wide invariants
 
@@ -919,9 +992,7 @@ def test_digamma_difference_matches_high_precision():
 @pytest.mark.xfail(strict=True, reason=(
     "digamma(n + rho) - digamma(rho) is summed from positive terms only "
     "where cancellation costs more than 5e-12 relative; below that switch "
-    "it loses up to the estimate, 2.3e-12 at (4661.7, 5), and moving the "
-    "switch changes the harmonic moment fit's standard errors in the sixth "
-    "printed digit through the fixed-step Hessian"))
+    "it loses up to the estimate, 2.3e-12 at (4661.7, 5)"))
 def test_digamma_difference_within_1e13_where_cancellation_is_moderate():
     for rho, n in [(4661.702203580432, 5), (1437.1934547770902, 1),
                    (6751.14977370217, 10)]:

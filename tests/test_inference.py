@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
@@ -156,25 +157,51 @@ def test_fit_mle_standard_errors_match_reported(gehan):
     assert fit.se_log_nu >= 1.0 / math.sqrt(7.0) - 1e-9
 
 
+def _mp_loglik(data, family, g, lg):
+    """The log likelihood at rho = e^g, nu = e^lg in mpmath arithmetic: the
+    unit total rate and the block rates are the family's closed forms (for
+    gamma the block rate is the alternating sum of log(1 + j / a))."""
+    rho, nu = mp.exp(g), mp.exp(lg)
+    traj = data.trajectory
+    if family == "harmonic":
+        def psi(m):
+            return mp.digamma(rho + m) - mp.digamma(rho)
+
+        def rate(r, d):
+            return mp.beta(d, rho + r)
+    else:
+        def psi(m):
+            return mp.log1p(m / rho)
+
+        def rate(r, d):
+            return sum((-1) ** (j + 1) * mp.binomial(d, j)
+                       * mp.log1p(j / (rho + r)) for j in range(1, d + 1))
+    unit = sum(mp.mpf(t) * psi(m) for m, t in
+               zip(traj.at_risk.tolist(), traj.span.tolist()))
+    logs = sum(mp.log(rate(r, d))
+               for r, d in zip(traj.r.tolist(), traj.d.tolist()))
+    return traj.num_failure_times * lg - nu * unit + logs
+
+
+@pytest.mark.parametrize("method", [fit_mle, fit_moment])
 @pytest.mark.parametrize("family", ["harmonic", "gamma"])
-def test_standard_errors_take_three_rhos_and_match_nine_logliks(
-        gehan, family, monkeypatch):
-    rho, nu = 15.0, 0.5
-    x = np.array([math.log(rho), math.log(nu)])
-    hess = inference._hessian_2d(
-        lambda y: loglik(gehan, family, math.exp(y[0]), math.exp(y[1])), x)
-    cov = np.linalg.inv(-hess)
-    expect = (math.sqrt(cov[0, 0]), math.sqrt(cov[1, 1]))
-    rhos = []
-    sums = inference._rate_sums
+def test_standard_errors_match_an_mpmath_hessian(gehan, family, method):
+    fit = method(gehan, family)
+    with mp.workdps(40):
+        x = (mp.log(fit.rho), mp.log(fit.nu))
 
-    def recorded(data, fam, at):
-        rhos.append(at)
-        return sums(data, fam, at)
+        def f(g, lg):
+            return _mp_loglik(gehan, family, g, lg)
 
-    monkeypatch.setattr(inference, "_rate_sums", recorded)
-    assert inference._standard_errors(gehan, family, rho, nu) == expect
-    assert len(rhos) == len(set(rhos)) == 3
+        cross = mp.diff(f, x, (1, 1))
+        hess = mp.matrix([[mp.diff(f, x, (2, 0)), cross],
+                          [cross, mp.diff(f, x, (0, 2))]])
+        cov = (-hess) ** -1
+        expect = (float(mp.sqrt(cov[0, 0])), float(mp.sqrt(cov[1, 1])))
+    assert fit.se_log_rho == pytest.approx(expect[0], rel=1e-7)
+    assert fit.se_log_nu == pytest.approx(expect[1], rel=1e-7)
+    assert fit.se_rho == fit.rho * fit.se_log_rho
+    assert fit.se_nu == fit.nu * fit.se_log_nu
 
 
 def test_fit_reuses_the_sums_at_its_rho(monkeypatch):
@@ -189,9 +216,10 @@ def test_fit_reuses_the_sums_at_its_rho(monkeypatch):
 
     monkeypatch.setattr(inference, "_rate_sums", recorded)
     fit = fit_moment(data, "gamma")
-    # one evaluation for the scale and the log likelihood, then one per
-    # distinct rho of the Hessian
-    assert rhos[0] == fit.rho and len(rhos) == 4
+    # one evaluation for the scale and the log likelihood, then one on each
+    # side of it for the profile's curvature
+    h = inference._HESSIAN_STEP
+    assert rhos == [fit.rho, fit.rho * math.exp(-h), fit.rho * math.exp(h)]
     assert fit.nu == mle_nu_given_rho(data, "gamma", fit.rho)
     assert fit.loglik == loglik(data, "gamma", fit.rho, fit.nu)
 
@@ -273,6 +301,20 @@ def test_fit_moment_rejects_tie_free_data():
     d = Dataset(times=(1.0, 2.0, 3.0), failed=(True,) * 3)
     with pytest.raises(ParameterError):
         fit_moment(d, "gamma")
+
+
+@pytest.mark.parametrize("family", ["harmonic", "gamma"])
+def test_fit_moment_rejects_a_death_rate_without_a_root(family):
+    # The implied rate stays below k / (last time at risk): here 4 deaths
+    # over 13 units of risk time exceed 2 / 10.
+    data = Dataset.from_records([(1.0, 1)] * 3 + [(10.0, 1)])
+    with pytest.raises(ParameterError, match="no root"):
+        fit_moment(data, family)
+    # 6 deaths over 10 units lie below 2 / 3, and the fit matches them.
+    data = Dataset.from_records([(1.0, 1)] * 5 + [(2.0, 1), (3.0, 0)])
+    fit = fit_moment(data, family)
+    index = inference.family_index(family, fit.rho, fit.nu)
+    assert index.total_rate(1) == pytest.approx(6 / 10, rel=1e-8)
 
 
 def test_fit_rejects_all_censored():
@@ -455,98 +497,3 @@ def test_sample_mean_variance_floor():
     assert var_by_n[1000] > 50.0 / 1000.0
     assert var_by_n[1000] == pytest.approx(floor, rel=0.5)
     assert var_by_n[100] == pytest.approx(var_by_n[1000], rel=0.5)
-
-
-# ---------------------------------------------------------------------------
-# the moment equation's root finder
-
-
-def _monotone_cases(rng, count):
-    """Generic monotone functions with random brackets around their root."""
-    shapes = [
-        lambda a, r: (lambda x: a * (x - r) ** 3 + (x - r)),
-        lambda a, r: (lambda x: math.tanh(a * (x - r))),
-        lambda a, r: (lambda x: math.expm1(max(min(a * (x - r), 50.0),
-                                               -50.0))),
-        lambda a, r: (lambda x: math.atan(a * (x - r)) - 0.1 * a),
-        lambda a, r: (lambda x: a * (x / (1.0 + abs(x))
-                                     - r / (1.0 + abs(r)))),
-    ]
-    for i in range(count):
-        a = 10.0 ** rng.uniform(-2.0, 2.0)
-        r = rng.uniform(-5.0, 5.0)
-        lo, hi = r - 10.0 ** rng.uniform(-3.0, 1.5), \
-            r + 10.0 ** rng.uniform(-3.0, 1.5)
-        yield shapes[i % len(shapes)](a, r), lo, hi
-
-
-def _scipy_or_error(f, lo, hi):
-    from scipy import optimize
-    try:
-        return optimize.brentq(f, lo, hi, xtol=1e-12)
-    except ValueError:
-        return "no sign change"
-
-
-def _port_or_error(f, lo, hi):
-    try:
-        return inference._brentq(f, lo, hi)
-    except inference.NumericError:
-        return "no sign change"
-
-
-def test_root_finder_equals_scipy_brentq_bit_for_bit():
-    rng = make_rng(61)
-    compared = 0
-    for family in ("harmonic", "gamma"):
-        for _ in range(600):
-            nu = 10.0 ** rng.uniform(-3.0, 2.0)
-            target = 10.0 ** rng.uniform(-3.0, 2.0)
-
-            def gap(g, _nu=nu, _t=target, _f=family):
-                return (_nu * inference.family_index(_f, math.exp(g))
-                        .unit_total_rate(1) - _t)
-
-            ours = _port_or_error(gap, *inference._MOMENT_BRACKET)
-            assert ours == _scipy_or_error(gap, *inference._MOMENT_BRACKET)
-            compared += ours != "no sign change"
-    # The first moment equations of the times 1e300, 1e300, 2e300: rates
-    # and target near 1e-300, so an interpolation denominator underflows
-    # to 0 and the step bisects, as in scipy.
-    huge = Dataset.from_records([(1e300, 1), (1e300, 1), (2e300, 1)])
-    target = 3 / inference._risk_time(huge.trajectory)
-    for family in ("harmonic", "gamma"):
-        nu = mle_nu_given_rho(huge, family, 1.0)
-
-        def gap(g, _nu=nu, _f=family):
-            return (_nu * inference.family_index(_f, math.exp(g))
-                    .unit_total_rate(1) - target)
-
-        ours = _port_or_error(gap, *inference._MOMENT_BRACKET)
-        assert ours == _scipy_or_error(gap, *inference._MOMENT_BRACKET)
-        assert isinstance(ours, float)
-    for f, lo, hi in _monotone_cases(rng, 2500):
-        ours = _port_or_error(f, lo, hi)
-        assert ours == _scipy_or_error(f, lo, hi), (lo, hi)
-        compared += ours != "no sign change"
-    assert compared >= 3000
-
-
-def test_root_finder_without_sign_change_raises_numeric_error():
-    with pytest.raises(inference.NumericError, match="no sign change") as err:
-        inference._brentq(lambda x: x * x + 1.0, -1.0, 2.0)
-    assert not isinstance(err.value, ValueError)
-    with pytest.raises(inference.NumericError, match="NaN"):
-        inference._brentq(lambda x: math.nan, 0.0, 1.0)
-
-
-def test_moment_fit_without_a_root_exits_numeric(monkeypatch, capsys,
-                                                 tmp_path):
-    from marksurv.cli import main
-    monkeypatch.setattr(inference, "_MOMENT_BRACKET", (15.0, 25.0))
-    code = main(["fit", "--data", "builtin:gehan", "--method", "moment",
-                 "--out", str(tmp_path / "fit.json")])
-    assert code == 4
-    err = capsys.readouterr().err
-    assert err.startswith("numeric error: ") and err.count("\n") == 1
-    assert "no sign change" in err
