@@ -7,10 +7,10 @@ intensity attached to each possible block of simultaneous failures.  This
 module provides the built-in families, numerically stable difference
 evaluation (closed forms where available; for the gamma and power
 families a trapezoid rule over the Levy-measure integral, every rate of an
-array in one pass; scaled adaptive quadrature otherwise and as the
-fallback), splitting-rule tables with normalization/consistency
-diagnostics, and the conversions between the dislocation-measure and
-Levy-measure representations of the same process.
+array in one pass and a single rate as a one-entry array; scaled adaptive
+quadrature for measures and as the fallback), splitting-rule tables with
+normalization/consistency diagnostics, and the conversions between the
+dislocation-measure and Levy-measure representations of the same process.
 
 Full tables and the block-count dynamic program need every rate in the
 triangle r + d <= n.  They evaluate only the outer diagonal r + d = n, in
@@ -86,11 +86,10 @@ class _LazyModule:
         return getattr(importlib.import_module(self._name), item)
 
 
-# scipy is loaded only where a path needs it: scalar quadrature (gamma and
-# power rates whose array rule misses its tolerance, single gamma and power
-# rates that the short alternating sum cannot give, measures), beta rates
-# and the random-measure route.  Closed-form and array-rule rates, fits and
-# predictions run on math and numpy alone.
+# scipy is loaded only where a path needs it: scalar quadrature (the gamma
+# or power rate whose array-rule error estimate fails, and measures), beta
+# rates and the random-measure route.  Closed-form and array-rule rates,
+# walks, fits and predictions run on math and numpy alone.
 integrate = _LazyModule("scipy.integrate")
 special = _LazyModule("scipy.special")
 
@@ -116,19 +115,16 @@ def _check_risk_set(n: int) -> None:
                             "arrays would need over 1 GB")
 
 
-# Differences of order above this are evaluated through the integral
-# representation instead of the raw alternating sum.
-_NAIVE_DIFF_MAX = 8
-# Estimated relative precision lost to cancellation above which the naive
-# alternating sum is rejected even at low order.  Kept near machine level
+# Relative precision lost to cancellation above which a harmonic or beta
+# total rate is summed from its singleton rates.  Kept near machine level
 # so tabulated rules meet the 1e-10 normalization budget.
 _CANCEL_TOL = 5e-12
 # Adaptive quadrature settings; limit=476 caps the node count near 1e4.
 _QUAD_KW = dict(epsabs=1e-13, epsrel=1e-11, limit=476)
 
 _EPS = 2.220446049250313e-16
-# Most scalar log rates one index remembers (8 to 11 MB by tracemalloc); a
-# full memo is emptied rather than grown.
+# Most single gamma or power log rates one index remembers (8 to 11 MB by
+# tracemalloc); a full memo is emptied rather than grown.
 _RATE_MEMO_MAX = 2 ** 16
 # The predictive walk remembers hazards for m below _WALK_ROWS at risk and
 # atom factors for r below it, in double arrays of at most _WALK_MAX slots
@@ -150,24 +146,6 @@ def _log1mexp(z: float) -> float:
     if z > 0.693:
         return math.log1p(-math.exp(-z))
     return math.log(-math.expm1(-z))
-
-
-def _alternating_difference(seq: Callable[[int], float], r: int, d: int):
-    """Signed d-th forward difference of ``seq`` at r, with a cancellation estimate.
-
-    Returns ``(value, cancellation)`` where ``value`` carries the sign that
-    makes consistent sequences non-negative and ``cancellation`` estimates the
-    relative precision lost to the alternating sum.
-    """
-    total = 0.0
-    absum = 0.0
-    for j in range(d + 1):
-        term = (-1.0) ** (j + 1) * math.comb(d, j) * seq(r + j)
-        total += term
-        absum += abs(term)
-    if not total > 0.0:
-        return total, math.inf
-    return total, absum * _EPS / total
 
 
 def _log_quad(log_f: Callable[[float], float], lo: float, hi: float,
@@ -461,9 +439,9 @@ class CharacteristicIndex:
     block rates it evaluates (one per n asked), and a separable one its
     longest first-block terms.  Every instance remembers the hazards and
     atom factors its predictive walk reads, up to ``_WALK_MAX`` doubles
-    (1.1 MB); the scalar-rate memo of gamma and power indices belongs to
-    their base, ``_IntegralIndex``.  The memo lives on the instance, not in
-    a shared cache.
+    (1.1 MB); gamma and power indices also remember each single rate asked,
+    an entry of their array rule (``_IntegralIndex``).  The memo lives on
+    the instance, not in a shared cache.
     """
 
     @property
@@ -628,23 +606,29 @@ _GAMMA_PROBES = tuple(np.geomspace(1e-8, 200.0, 40).tolist()) + (1.0,)
 # coarse grid (step 0.5, through 0) brackets where the integrand exceeds
 # exp(-_TRAPEZOID_DROP) times its value at u = 0; _TRAPEZOID_NODES equally
 # spaced nodes across each bracket give the trapezoid rule, and every other
-# node the rule at twice the step.  Rates are computed _TRAPEZOID_CHUNK at a
-# time, so the work arrays stay near a megabyte whatever the number asked.
+# node the rule at twice the step (near alpha = 1 and k = 2 the power
+# integrand's left tail decays slowly and a row needs twice the nodes).
+# Rates are computed _TRAPEZOID_CHUNK at a time, so the work arrays stay
+# near a megabyte whatever the number asked.
 _TRAPEZOID_COARSE = np.linspace(-48.0, 24.0, 145)
 _TRAPEZOID_NODES = 257
 _TRAPEZOID_DROP = 40.0
 _TRAPEZOID_CHUNK = 128
 
 
-def _trapezoid(a: np.ndarray, k: np.ndarray, beta: float) -> np.ndarray:
+def _trapezoid(a: np.ndarray, k: np.ndarray, beta: float,
+               nodes: int = _TRAPEZOID_NODES) -> np.ndarray:
     """log I(a, k, beta) for 1-d arrays a > 0 and k >= 1 and one beta, or
-    NaN where the trapezoid rules at step h and 2h differ by more than the
-    tolerance asked of the scalar quadrature or the bracket is not closed
-    inside the coarse grid."""
+    NaN where the bracket is not closed inside the coarse grid or the
+    trapezoid rules at step h and 2h differ by more than the tolerance
+    asked of the scalar quadrature, on ``nodes`` nodes and then, for a
+    closed bracket, once more on twice as many intervals."""
     c = _TRAPEZOID_CHUNK
     if len(a) > c:
-        return np.concatenate([_trapezoid(a[i:i + c], k[i:i + c], beta)
+        return np.concatenate([_trapezoid(a[i:i + c], k[i:i + c], beta, nodes)
                                for i in range(0, len(a), c)])
+    if not len(a):
+        return np.empty(0)
     a, k = a[:, None], k[:, None]
     scale = np.log1p(k / a)
     rate = a * scale
@@ -665,45 +649,41 @@ def _trapezoid(a: np.ndarray, k: np.ndarray, beta: float) -> np.ndarray:
         last = top - above[:, ::-1].argmax(axis=1)
         lo = _TRAPEZOID_COARSE[np.maximum(first - 1, 0)]
         step = (_TRAPEZOID_COARSE[np.minimum(last + 1, top)] - lo) \
-            / (_TRAPEZOID_NODES - 1)
-        f = np.exp(log_rel(lo[:, None]
-                           + step[:, None] * np.arange(_TRAPEZOID_NODES)))
+            / (nodes - 1)
+        f = np.exp(log_rel(lo[:, None] + step[:, None] * np.arange(nodes)))
     ends = 0.5 * (f[:, 0] + f[:, -1])
     value = step * (f.sum(axis=1) - ends)
     err = np.abs(value - 2.0 * step * (f[:, ::2].sum(axis=1) - ends))
+    closed = (first > 0) & (last < top)
     ok = (err <= np.maximum(_QUAD_KW["epsabs"], _QUAD_KW["epsrel"] * value)) \
-        & (first > 0) & (last < top)
+        & closed
     log_at_0 = (-rate[:, 0] + k[:, 0] * np.log(-base[:, 0])
                 - beta * np.log(scale[:, 0]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(ok, log_at_0 + np.log(value), np.nan)
+        out = np.where(ok, log_at_0 + np.log(value), np.nan)
+    redo = np.flatnonzero(closed & ~ok)
+    if redo.size and nodes == _TRAPEZOID_NODES:
+        out[redo] = _trapezoid(a[redo, 0], k[redo, 0], beta, 2 * nodes - 1)
+    return out
 
 
 class _IntegralIndex(CharacteristicIndex):
     """Gamma and power: rates are integrals I(a, k, beta).  A family gives
     its closed form at d = 1 (``_log_singletons``), its trapezoid rule above
-    it (``_log_blocks``) and its scalar integral (``_log_rate_quad``)."""
+    it (``_log_blocks``) and its scalar integral (``_log_rate_quad``), the
+    fallback of an entry whose error estimate fails."""
 
     def log_unit_block_rate(self, r: int, d: int) -> float:
+        """The one-entry answer of ``_log_rates``.  Each answer, not a
+        failure, is remembered keyed by (r, d)."""
         _check_rd(r, d)
-        return self._log_difference(r, d)
-
-    def _log_difference(self, r: int, d: int) -> float:
-        """log of the signed d-th forward difference of the unit total rate
-        at r: the alternating sum where it is short and loses little to
-        cancellation, otherwise the family's integral ``_log_rate_quad``.
-        Each answer, not a failure, is remembered keyed by (r, d)."""
         rates = _memo(self).setdefault("rates", {})
         v = rates.get((r, d))
-        if v is not None:
-            return v
-        val, cancel = (_alternating_difference(self.unit_total_rate, r, d)
-                       if d <= _NAIVE_DIFF_MAX else (0.0, math.inf))
-        v = (math.log(val) if cancel <= _CANCEL_TOL
-             else self._log_rate_quad(r, d))
-        if len(rates) >= _RATE_MEMO_MAX:
-            rates.clear()
-        rates[(r, d)] = v
+        if v is None:
+            v = float(self._log_rates(np.array([r]), np.array([d]))[0])
+            if len(rates) >= _RATE_MEMO_MAX:
+                rates.clear()
+            rates[(r, d)] = v
         return v
 
     def _log_rates(self, r: np.ndarray, d: np.ndarray) -> np.ndarray:

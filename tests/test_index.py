@@ -351,8 +351,10 @@ def test_filled_rows_match_entrywise_rates(index):
                            for d in range(1, m + 1)])
         zero = np.isneginf(direct)
         assert np.array_equal(np.isneginf(row), zero)
-        # An accepted alternating sum may lose up to _CANCEL_TOL relative.
-        assert np.max(np.abs(row[~zero] - direct[~zero])) <= 5e-12
+        # Each inward step of the fill rounds once (gamma and power agree to
+        # 7e-15 at n = 30); the measure index's entries carry the error of
+        # their own quadratures (2.9e-13).
+        assert np.max(np.abs(row[~zero] - direct[~zero])) <= 1e-12
 
 
 @pytest.mark.parametrize("index", FILLED[:4], ids=lambda ix: ix.describe())
@@ -747,6 +749,39 @@ def test_power_array_rule_matches_high_precision_differences(alpha):
         assert abs(v - mp_log_rate(ix, r, d, v)) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha", [0.97, 0.99, 0.999])
+def test_power_near_one_needs_no_quadrature(monkeypatch, alpha):
+    # Entry (n - 2, 2) misses the tolerance on 257 nodes and passes on 513.
+    def refused(self, r, d):
+        raise AssertionError(f"quadrature asked for ({r}, {d})")
+
+    monkeypatch.setattr(PowerIndex, "_log_rate_quad", refused)
+    ix = PowerIndex(alpha)
+    r = np.array([48, 198, 998])
+    for a, v in zip(r.tolist(), ix._log_rates(r, np.full(3, 2))):
+        assert abs(v - mp_log_rate(ix, a, 2, v)) <= 1e-12
+
+
+# A single gamma or power rate is its entry of the array rule, to the bit.
+@pytest.mark.parametrize("index", [
+    GammaIndex(1.0, 1.0), GammaIndex(2.0, 7.5), PowerIndex(0.5),
+    PowerIndex(0.9), PowerIndex(0.99)], ids=lambda ix: ix.describe())
+def test_single_rate_is_its_array_entry(index):
+    r, d = np.meshgrid(np.arange(300), np.arange(1, 40), indexing="ij")
+    r, d = r.ravel(), d.ravel()
+    single = [index.log_unit_block_rate(a, b)
+              for a, b in zip(r.tolist(), d.tolist())]
+    assert np.array_equal(single, index._log_rates(r, d))
+
+
+def test_single_gamma_rate_matches_high_precision_difference():
+    # Scalar quadrature, which accepts an error estimate up to 1e-8
+    # relative, is off here by 4.0e-9 in log.
+    ix = GammaIndex(1.0, 1.0)
+    v = ix.log_unit_block_rate(285, 34)
+    assert abs(v - mp_log_rate(ix, 285, 34, v)) <= 1e-13
+
+
 def _plant_failed_estimates(monkeypatch, ks):
     """Make the array rule report a failed error estimate (NaN) for every
     integral I(a, k, beta) with k in ``ks``."""
@@ -804,16 +839,21 @@ def test_gamma_fallback_that_does_not_converge_raises(monkeypatch):
         GammaIndex(1.0, 2.0)._log_rates(np.array([3, 4]), np.array([2, 7]))
 
 
-@pytest.mark.parametrize("make_index, r, d", [
-    (lambda: GammaIndex(1.0, 2.0), 3, 20), (lambda: PowerIndex(0.5), 0, 12),
+# (0, 12) of power is planted through k = 11: at r = 0 the rule integrates
+# I(1, d - 1, alpha - 1).
+@pytest.mark.parametrize("make_index, r, d, k", [
+    (lambda: GammaIndex(1.0, 2.0), 3, 20, 20),
+    (lambda: PowerIndex(0.5), 0, 12, 11),
 ], ids=["gamma", "power"])
-def test_failed_scalar_rate_is_not_remembered(monkeypatch, make_index, r, d):
+def test_failed_scalar_rate_is_not_remembered(monkeypatch, make_index, r, d,
+                                              k):
     calls = []
 
     def planted(*args, **kwargs):
         calls.append(args[1:3])
         return (1.0, 1.0, {}, "did not converge")
 
+    _plant_failed_estimates(monkeypatch, [k])
     monkeypatch.setattr(index_mod.integrate, "quad", planted)
     ix = make_index()
     for attempt in range(1, 4):
@@ -1050,7 +1090,7 @@ def test_quadrature_goes_through_the_patchable_integrate(monkeypatch):
         return quad(*args, **kwargs)
 
     monkeypatch.setattr(index_mod.integrate, "quad", counted)
-    assert PowerIndex(0.5).log_unit_block_rate(0, 12) < 0.0
+    assert PowerIndex(0.5)._log_rate_quad(0, 12) < 0.0
     assert GammaIndex(1.0, 2.0)._log_rate_quad(3, 20) < 0.0
     assert len(calls) >= 2
 
@@ -1058,5 +1098,5 @@ def test_quadrature_goes_through_the_patchable_integrate(monkeypatch):
         quad = staticmethod(counted)
 
     monkeypatch.setattr(index_mod, "integrate", Proxy())
-    PowerIndex(0.7).log_unit_block_rate(2, 11)
+    PowerIndex(0.7)._log_rate_quad(2, 11)
     assert len(calls) >= 3

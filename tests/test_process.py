@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,10 +9,10 @@ from scipy import integrate, stats
 
 from marksurv import index as index_mod
 from marksurv import process
-from marksurv.index import (BetaSplitIndex, CharacteristicIndex,
-                            GammaIndex, GeometricIndex, HarmonicIndex,
-                            LinearIndex, LinearShiftIndex, NumericError,
-                            ParameterError, PowerIndex, ResourceError)
+from marksurv.index import (BetaSplitIndex, GammaIndex, GeometricIndex,
+                            HarmonicIndex, LinearIndex, LinearShiftIndex,
+                            NumericError, ParameterError, PowerIndex,
+                            ResourceError)
 from marksurv.process import (CensoringPlan, Event, RiskSetTrajectory,
                               TimeTransform, log_density,
                               log_density_semimarkov, predictive_survival,
@@ -256,10 +259,14 @@ def test_second_simulate_on_warm_index_evaluates_no_rate(monkeypatch):
 ], ids=["power", "gamma"])
 def test_array_diagonal_draws_the_entrywise_stream(monkeypatch, cls, params,
                                                    n, seed):
-    # The array rule and the scalar rates differ in rounding only, which
-    # moves no draw of these streams.
+    # The array rule and per-entry quadrature differ in rounding only,
+    # which moves no draw of these streams.
+    def entrywise(self, r, d):
+        return np.array([self._log_rate_quad(a, b)
+                         for a, b in zip(r.tolist(), d.tolist())])
+
     fast = simulate(n, cls(**params), rng=make_rng(seed))
-    monkeypatch.setattr(cls, "_log_rates", CharacteristicIndex._log_rates)
+    monkeypatch.setattr(cls, "_log_rates", entrywise)
     slow = simulate(n, cls(**params), rng=make_rng(seed))
     assert fast == slow
 
@@ -524,15 +531,45 @@ def test_sample_next_atom_mass():
     assert abs(p_hat - 2.0 / 3.0) < 3.0 * se
 
 
-def test_sample_next_matches_predictive_curve():
+# The gamma and power histories hold a tied block, whose atom the walk
+# survives by a factor from two of the family's block rates.
+TIED_HISTORY = RiskSetTrajectory(5, (Event(0.7, 2, 0), Event(1.4, 1, 1)))
+
+
+@pytest.mark.parametrize("index, hist", [
+    (H11, RiskSetTrajectory(3, (Event(0.7, 1, 0), Event(1.4, 1, 1)))),
+    (GammaIndex(1.0, 1.0), TIED_HISTORY),
+    (PowerIndex(0.5), TIED_HISTORY),
+], ids=["harmonic", "gamma", "power"])
+def test_sample_next_matches_predictive_curve(index, hist):
     rng = make_rng(18)
-    hist = RiskSetTrajectory(3, (Event(0.7, 1, 0), Event(1.4, 1, 1)))
     reps = 100000
-    draws = np.array([sample_next(hist, H11, rng) for _ in range(reps)])
+    draws = np.array([sample_next(hist, index, rng) for _ in range(reps)])
     grid = np.linspace(0.01, 9.0, 150)
     emp = (draws[:, None] > grid[None, :]).mean(axis=0)
-    s = predictive_survival(grid, hist, H11)
+    s = predictive_survival(grid, hist, index)
     assert np.abs(emp - s).max() < 0.01
+
+
+def test_gamma_and_power_walks_load_no_quadrature():
+    # A single gamma or power rate is an entry of the array rule, which
+    # loads scipy.integrate only for an entry whose error estimate fails.
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from marksurv import (GammaIndex, PowerIndex, sample_next,\n"
+            "                      simulate, simulate_seeded)\n"
+            "for ix in (GammaIndex(1.0, 1.0), PowerIndex(0.5),\n"
+            "           PowerIndex(0.9), PowerIndex(0.99)):\n"
+            "    rng = np.random.default_rng(5)\n"
+            "    traj = simulate(200, ix, rng=rng)\n"
+            "    simulate_seeded(traj, 40, ix, rng)\n"
+            "    sample_next(traj, ix, rng)\n"
+            "print('scipy.integrate' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(process.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def _harmonic_posterior_mean(t, history, nu, rho):
@@ -858,14 +895,16 @@ def test_walk_draws_the_scalar_oracle_stream(monkeypatch, make_index,
 
 
 def test_second_seeded_series_on_warm_gamma_runs_no_quadrature(monkeypatch):
+    # Every gamma rate, quadrature fallback included, goes through the
+    # array rule; the warm series asks it nothing.
     calls = []
-    quad = GammaIndex._log_rate_quad
+    rates = GammaIndex._log_rates
 
     def counted(self, r, d):
-        calls.append((r, d))
-        return quad(self, r, d)
+        calls.extend(zip(r.tolist(), d.tolist()))
+        return rates(self, r, d)
 
-    monkeypatch.setattr(GammaIndex, "_log_rate_quad", counted)
+    monkeypatch.setattr(GammaIndex, "_log_rates", counted)
     index = GammaIndex(1.0, 1.0)
     seed_traj = simulate(20, index, rng=make_rng(3))
     calls.clear()
