@@ -160,18 +160,17 @@ def cmd_predict(args) -> int:
     grid = _parse_grid(args.grid)
     km = kaplan_meier(data)
     expo = fit_exponential(data)
-    curves = {}
-    for family in ("harmonic", "gamma"):
+    curves = []
+    for family in FITTED_FAMILIES:
         fit = fit_mle(data, family, fix_rho=args.fix_rho)
-        curve = empirical_bayes_curve(data, fit, grid)
-        curves[family] = curve.survival
-    lines = ["t,S_harmonic,S_gamma,S_KM,S_exponential"]
+        curves.append(empirical_bayes_curve(data, fit, grid).survival)
+    lines = [",".join(["t", *(f"S_{family}" for family in FITTED_FAMILIES),
+                       "S_KM", "S_exponential"])]
     km_vals = km(grid)
     for i, t in enumerate(grid):
         lines.append(",".join([
             _fmt(t),
-            _fmt(curves["harmonic"][i]),
-            _fmt(curves["gamma"][i]),
+            *(_fmt(curve[i]) for curve in curves),
             _fmt(km_vals[i]),
             _fmt(math.exp(-expo.rate * t)),
         ]))

@@ -123,15 +123,12 @@ _CANCEL_TOL = 5e-12
 _QUAD_KW = dict(epsabs=1e-13, epsrel=1e-11, limit=476)
 
 _EPS = 2.220446049250313e-16
-# Most single gamma or power log rates one index remembers (8 to 11 MB by
-# tracemalloc); a full memo is emptied rather than grown.
-_RATE_MEMO_MAX = 2 ** 16
-# The predictive walk remembers hazards for m below _WALK_ROWS at risk and
-# atom factors for r below it, in double arrays of at most _WALK_MAX slots
-# all together (1.1 MB by tracemalloc).  Full tables are emptied rather
-# than grown; a larger risk set is asked of the index at every row.
-_WALK_ROWS = 2 ** 12
-_WALK_MAX = 2 ** 17
+# Most entries any dict an index remembers holds: its single gamma or power
+# log rates, its predictive walk's hazards, and the walk's atom factors of
+# each failure-block size.  _room empties a full dict in place rather than
+# growing it.  By tracemalloc, a full int-keyed dict (the hazards, or the
+# factors of one block size) holds 6.3 MB and a full rates dict 8.9 MB.
+_MEMO_MAX = 2 ** 16
 
 
 def _check_rd(r: int, d: int) -> None:
@@ -306,68 +303,12 @@ def _forbidden_block(r: int, d: int) -> ParameterError:
         f"the index forbids a failure block of {d} leaving {r}: its rate is 0")
 
 
-class _WalkTables:
-    """The floats the predictive walk reads, each computed once per index
-    by the scalar expression an uncached walk would use: ``hazard[m]`` is
-    block_rate(m, 1), and ``keep[d][r]`` is lambda(r + 1, d) / lambda(r, d),
-    the chance of surviving the atom of a failure block of d leaving r.
-    The tables are double arrays indexed by m and by r, holding -1 where
-    nothing is computed yet (no hazard or factor is negative)."""
-
-    __slots__ = ("hazard", "keep", "size", "unset")
-
-    def __init__(self):
-        from array import array  # loaded at the first walk, not at import
-        self.hazard, self.keep, self.size = array("d"), {}, 0
-        self.unset = array("d", [-1.0])
-
-    def _grow(self, col, n: int) -> bool:
-        """Pad col with -1 to n slots, first emptying every table if the
-        slots would pass _WALK_MAX; False, with col unchanged, when n is
-        too long for a table."""
-        if n <= len(col):
-            return True
-        if n > _WALK_ROWS or n > _WALK_MAX:
-            return False
-        if self.size + n - len(col) > _WALK_MAX:
-            del self.hazard[:]
-            self.keep.clear()
-            del col[:]
-            self.size = 0
-        self.size += n - len(col)
-        col.extend(self.unset * (n - len(col)))
-        return True
-
-    def hazard_at(self, index, m: int) -> float:
-        h = index.block_rate(m, 1)
-        if self._grow(self.hazard, m + 1):
-            self.hazard[m] = h
-        return h
-
-    def keep_at(self, index, r: int, d: int) -> float:
-        """The remembered factor, else computed and remembered; a block
-        whose rate is 0 raises ParameterError."""
-        col = self.keep.get(d) or self.unset[:0]  # [:0]: a new, empty one
-        v = col[r] if r < len(col) else -1.0
-        if v < 0.0:
-            log_hi = index.log_unit_block_rate(r + 1, d)
-            log_lo = index.log_unit_block_rate(r, d)
-            if log_lo == -math.inf:
-                raise _forbidden_block(r, d)
-            v = math.exp(log_hi - log_lo)
-            if self._grow(col, r + 1):
-                col[r] = v
-                self.keep[d] = col
-        return v
-
-
-def _walk_tables(index) -> _WalkTables:
-    """The predictive walk's tables of an index, kept in its memo."""
-    memo = _memo(index)
-    walk = memo.get("walk")
-    if walk is None:
-        walk = memo["walk"] = _WalkTables()
-    return walk
+def _room(table: dict) -> dict:
+    """table, first emptied in place if it holds _MEMO_MAX entries, so
+    whoever holds it keeps a valid reference."""
+    if len(table) >= _MEMO_MAX:
+        table.clear()
+    return table
 
 
 def _first_block_reader(rule, n: int):
@@ -438,10 +379,11 @@ class CharacteristicIndex:
     An instance remembers, as read-only arrays, each outer diagonal of log
     block rates it evaluates (one per n asked), and a separable one its
     longest first-block terms.  Every instance remembers the hazards and
-    atom factors its predictive walk reads, up to ``_WALK_MAX`` doubles
-    (1.1 MB); gamma and power indices also remember each single rate asked,
-    an entry of their array rule (``_IntegralIndex``).  The memo lives on
-    the instance, not in a shared cache.
+    atom factors its predictive walk reads; gamma and power indices also
+    remember each single rate asked, an entry of their array rule
+    (``_IntegralIndex``).  Those dicts hold at most ``_MEMO_MAX`` = 65,536
+    entries each (6.3 to 8.9 MB full) and are emptied when full.  The memo
+    lives on the instance, not in a shared cache.
     """
 
     @property
@@ -681,9 +623,7 @@ class _IntegralIndex(CharacteristicIndex):
         v = rates.get((r, d))
         if v is None:
             v = float(self._log_rates(np.array([r]), np.array([d]))[0])
-            if len(rates) >= _RATE_MEMO_MAX:
-                rates.clear()
-            rates[(r, d)] = v
+            _room(rates)[r, d] = v
         return v
 
     def _log_rates(self, r: np.ndarray, d: np.ndarray) -> np.ndarray:

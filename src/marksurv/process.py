@@ -31,7 +31,7 @@ import numpy as np
 
 from .index import (CharacteristicIndex, NumericError, ParameterError,
                     _check_risk_set, _first_block_reader, _forbidden_block,
-                    _read_only, _walk_tables)
+                    _memo, _read_only, _room)
 from .ranking import _block_sweep, sample_first_block_size
 
 __all__ = [
@@ -406,35 +406,60 @@ def predictive_survival(t, history: RiskSetTrajectory,
 _EVENT_ROW = attrgetter("time", "n_failures", "n_censored")
 
 
+def _walk_memo(index) -> tuple:
+    """The floats the predictive walk reads, as two dicts in the index's
+    memo: ``hazard[m]`` is block_rate(m, 1), and ``keep[d][r]`` is
+    lambda(r + 1, d) / lambda(r, d), the chance of surviving the atom of a
+    failure block of d leaving r.  Each entry is filled once per index
+    by the scalar expression an uncached walk would use."""
+    memo = _memo(index)
+    walk = memo.get("walk")
+    if walk is None:
+        walk = memo["walk"] = ({}, {})
+    return walk
+
+
+def _walk_keep(index, keep: dict, r: int, d: int) -> float:
+    """The atom factor, remembered in keep; a block whose rate is 0 raises
+    ParameterError."""
+    log_hi = index.log_unit_block_rate(r + 1, d)
+    log_lo = index.log_unit_block_rate(r, d)
+    if log_lo == -math.inf:
+        raise _forbidden_block(r, d)
+    col = keep.get(d)
+    if col is None:
+        col = _room(keep)[d] = {}
+    k = _room(col)[r] = math.exp(log_hi - log_lo)
+    return k
+
+
 def _draw_next(alive: int, rows, index: CharacteristicIndex, rng) -> float:
     """The predictive draw of sample_next from the initial risk-set size and
     the (time, n_failures, n_censored) rows of the events in time order.
-    Hazards and atom factors are read from the index's walk tables."""
-    walk = _walk_tables(index)
-    hazard, keep = walk.hazard, walk.keep
+    Hazards and atom factors are read from the index's walk memo."""
+    hazard, keep = _walk_memo(index)
     e_cont = rng.exponential()
     t_prev = 0.0
     for time, n_failures, n_censored in rows:
-        h = hazard[alive] if alive < len(hazard) else -1.0
-        if h < 0.0:
-            h = walk.hazard_at(index, alive)
+        h = hazard.get(alive)
+        if h is None:
+            h = _room(hazard)[alive] = index.block_rate(alive, 1)
         span = time - t_prev
         if h * span >= e_cont:
             return t_prev + e_cont / h
         e_cont -= h * span
         if n_failures > 0:
             r = alive - n_failures
-            col = keep.get(n_failures)
-            k = col[r] if col is not None and r < len(col) else -1.0
-            if k < 0.0:
-                k = walk.keep_at(index, r, n_failures)
+            k = keep.get(n_failures, {}).get(r)
+            if k is None:
+                k = _walk_keep(index, keep, r, n_failures)
             if rng.random() >= k:
                 return time
         alive -= n_failures + n_censored
         t_prev = time
-    h = hazard[alive] if alive < len(hazard) else -1.0
-    if h < 0.0:
-        h = walk.hazard_at(index, alive)
+    h = hazard.get(alive)
+    if h is None:
+        h = _room(hazard)[alive] = index.block_rate(alive, 1)
     if h == 0.0:
         raise NumericError(f"the singleton hazard with {alive} at risk is 0 "
                            "in doubles: the next lifetime overflows")
@@ -445,9 +470,10 @@ def _check_blocks(history: RiskSetTrajectory,
                   index: CharacteristicIndex) -> None:
     """Raise ParameterError at the first failure block the index forbids,
     wherever a draw would stop."""
-    walk = _walk_tables(index)
+    keep = _walk_memo(index)[1]
     for r, d in zip(history.r.tolist(), history.d.tolist()):
-        walk.keep_at(index, r, d)
+        if r not in keep.get(d, ()):
+            _walk_keep(index, keep, r, d)
 
 
 def sample_next(history: RiskSetTrajectory, index: CharacteristicIndex,

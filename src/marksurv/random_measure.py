@@ -33,7 +33,6 @@ __all__ = [
     "gamma_interval_totals",
     "compare_constructions",
     "ConstructionReport",
-    "realization_to_csv",
 ]
 
 _MAX_ATOMS = 100_000_000
@@ -384,10 +383,3 @@ def simulate_distinct_count(n: int, index: CharacteristicIndex, rng) -> int:
     """Number of distinct failure times in one direct Markov simulation."""
     return int(process.simulate_batch(n, index, 1, rng).num_blocks[0])
 
-
-def realization_to_csv(measure: MeasureRealization) -> str:
-    """Atom dump as CSV (location, mass) for debugging."""
-    lines = ["location,mass"]
-    for x, z in zip(measure.locations, measure.masses):
-        lines.append(f"{float(x)!r},{float(z)!r}")
-    return "\n".join(lines) + "\n"

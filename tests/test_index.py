@@ -868,7 +868,7 @@ def test_failed_scalar_rate_is_not_remembered(monkeypatch, make_index, r, d,
 def test_rate_memo_stays_within_its_bound(monkeypatch, make_index):
     pairs = [(r, d) for r in (0, 3, 40) for d in (1, 2, 5, 12)] * 2
     alone = [make_index().log_unit_block_rate(r, d) for r, d in pairs]
-    monkeypatch.setattr(index_mod, "_RATE_MEMO_MAX", 8)
+    monkeypatch.setattr(index_mod, "_MEMO_MAX", 8)
     ix = make_index()
     got = []
     for r, d in pairs:

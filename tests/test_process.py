@@ -608,10 +608,8 @@ def test_harmonic_predictive_is_the_beta_process_posterior_mean(rho):
     # The walk's remembered hazards and atom factors are the same closed
     # forms.
     simulate_seeded(history, 40, index, rng)
-    walk = index_mod._walk_tables(index)
-    hazard = {m: h for m, h in enumerate(walk.hazard) if h >= 0.0}
-    keep = {(r, d): k for d, col in walk.keep.items()
-            for r, k in enumerate(col) if k >= 0.0}
+    hazard, by_size = process._walk_memo(index)
+    keep = {(r, d): k for d, col in by_size.items() for r, k in col.items()}
     assert len(hazard) > 20 and len(keep) > 20
     for m, h in hazard.items():
         assert h == pytest.approx(nu / (rho + m), rel=1e-12, abs=0.0)
@@ -816,12 +814,47 @@ def test_predictive_draws_same_with_or_without_memo(monkeypatch, make_index):
 
     warm = make_index()
     remembered = draws(warm)
-    assert index_mod._walk_tables(warm).size > 0
-    monkeypatch.setattr(index_mod, "_memo", lambda index: {})
+    assert all(process._walk_memo(warm))
+    for module in (index_mod, process):
+        monkeypatch.setattr(module, "_memo", lambda index: {})
     bare = make_index()
     assert draws(bare) == remembered
-    # Nothing was remembered on the instance: no walk table outlived a draw.
+    # Nothing was remembered on the instance: no walk dict outlived a draw.
     assert "_memo" not in vars(bare)
+
+
+_RATE_METHODS = ("total_rate", "unit_total_rate", "block_rate",
+                 "unit_block_rate", "log_unit_block_rate", "split_prob",
+                 "_log_rates")
+
+
+@pytest.mark.parametrize("make_index", [
+    lambda: HarmonicIndex(0.7, 2.3), lambda: GammaIndex(1.0, 1.0),
+], ids=["harmonic", "gamma"])
+def test_second_draw_over_a_large_risk_set_calls_no_rate(monkeypatch,
+                                                        make_index):
+    # 6,000 at risk, tied failures and censorings at every event, never
+    # fewer than 5,000 at risk.
+    history = RiskSetTrajectory(6000, tuple(
+        Event(0.01 * (i + 1), 1 + i % 3, 20) for i in range(40)))
+    assert history.n_censored > 0 and history.at_risk.min() >= 5000
+    index = make_index()
+    calls = []
+    for cls in type(index).__mro__:
+        for name in _RATE_METHODS:
+            if name in vars(cls):
+                def counted(*args, _f=vars(cls)[name], _name=name, **kw):
+                    calls.append(_name)
+                    return _f(*args, **kw)
+                monkeypatch.setattr(cls, name, counted)
+    rng = make_rng(71)
+    state = rng.bit_generator.state
+    first = sample_next(history, index, rng)
+    assert calls
+    del calls[:]
+    rng.bit_generator.state = state
+    assert sample_next(history, index, rng) == first
+    assert calls == []
 
 
 def _scalar_next(traj, index, rng):
@@ -848,7 +881,7 @@ def _scalar_next(traj, index, rng):
     return t_prev + e_cont / h
 
 
-@pytest.mark.parametrize("tables", ["cold", "warm", "cap-8", "rows-8"])
+@pytest.mark.parametrize("tables", ["cold", "warm", "cap-8"])
 @pytest.mark.parametrize("make_index", [
     lambda: HarmonicIndex(0.7, 2.3), lambda: BetaSplitIndex(1.0, -0.5),
     lambda: GeometricIndex(0.5), lambda: GammaIndex(1.0, 1.0),
@@ -858,9 +891,7 @@ def test_walk_draws_the_scalar_oracle_stream(monkeypatch, make_index,
                                              tables):
     index = make_index()
     if tables == "cap-8":
-        monkeypatch.setattr(index_mod, "_WALK_MAX", 8)
-    if tables == "rows-8":
-        monkeypatch.setattr(index_mod, "_WALK_ROWS", 8)
+        monkeypatch.setattr(index_mod, "_MEMO_MAX", 8)
     rng = make_rng(43)
     seed_traj = simulate(15, index, plan=CensoringPlan(
         tuple(rng.uniform(0.4, 3.0, 15))), rng=rng)
@@ -868,7 +899,7 @@ def test_walk_draws_the_scalar_oracle_stream(monkeypatch, make_index,
     if tables == "warm":
         other = simulate(25, index, rng=make_rng(5))
         simulate_seeded(other, 30, index, make_rng(6))
-        assert index_mod._walk_tables(index).size > 0
+        assert all(process._walk_memo(index))
     for _ in range(2):
         state = rng.bit_generator.state
         out = simulate_seeded(seed_traj, 30, index, rng)
@@ -879,19 +910,16 @@ def test_walk_draws_the_scalar_oracle_stream(monkeypatch, make_index,
                                      draw=_scalar_next) == out
         assert [_scalar_next(out, index, rng) for _ in range(15)] == draws
         assert rng.bit_generator.state == after
-        walk = index_mod._walk_tables(index)
+        hazard, keep = process._walk_memo(index)
         if tables == "cap-8":
-            assert walk.size <= 8
-        if tables == "rows-8":
-            assert max(map(len, [walk.hazard, *walk.keep.values()])) <= 8
+            assert max(map(len, [hazard, keep, *keep.values()])) <= 8
     # Each remembered float is the oracle's scalar expression, bit for bit.
-    for m, h in enumerate(walk.hazard):
-        assert h < 0.0 or h == index.block_rate(m, 1)
-    for d, col in walk.keep.items():
-        for r, k in enumerate(col):
-            assert k < 0.0 or k == math.exp(
-                index.log_unit_block_rate(r + 1, d)
-                - index.log_unit_block_rate(r, d))
+    for m, h in hazard.items():
+        assert h == index.block_rate(m, 1)
+    for d, col in keep.items():
+        for r, k in col.items():
+            assert k == math.exp(index.log_unit_block_rate(r + 1, d)
+                                 - index.log_unit_block_rate(r, d))
 
 
 def test_second_seeded_series_on_warm_gamma_runs_no_quadrature(monkeypatch):

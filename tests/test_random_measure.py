@@ -11,7 +11,7 @@ from marksurv.index import GammaIndex, HarmonicIndex, ParameterError
 from marksurv.random_measure import (MeasureRealization, ResourceError,
                                      compare_constructions,
                                      gamma_interval_totals, joint_survival,
-                                     realization_to_csv, sample_gamma_measure,
+                                     sample_gamma_measure,
                                      sample_survival_times)
 
 
@@ -367,14 +367,3 @@ def test_single_measure_lifetimes_are_exponential(nu, rho, eps):
     assert np.count_nonzero(t > 2.0 * width) > 500  # crossing windows
     rate = nu * (special.exp1(rho * eps) - special.exp1((rho + 1.0) * eps))
     assert stats.kstest(t, "expon", args=(0.0, 1.0 / rate)).pvalue > 0.01
-
-
-def test_realization_csv():
-    m = MeasureRealization(t_max=2.0, drift=0.0,
-                           locations=np.array([0.5, 1.5]),
-                           masses=np.array([0.25, 1.0]), truncation=1e-6)
-    text = realization_to_csv(m)
-    lines = text.strip().splitlines()
-    assert lines[0] == "location,mass"
-    assert len(lines) == 3
-    assert float(lines[1].split(",")[1]) == 0.25
