@@ -187,7 +187,11 @@ def _log_rising(x, k):
     with truncation error below 1 / (1680 (x - 1)**7).
     """
     def series(t):
-        t2 = t * t
+        # From t = 1e150 on, the terms after 1 / 12 are far below its last
+        # bit, so capping t there before squaring changes no bit and keeps
+        # t2 finite.
+        s = np.minimum(t, 1e150)
+        t2 = s * s
         return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * t2)) / t2) / t
 
     y = x + k
@@ -258,9 +262,16 @@ def _digamma_difference(rho: float, n: int) -> float:
 
 def _separable_reader(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Row reader for a separable form a[d] + b[r] + c[r + d]: row m = r + d
-    costs one vector sum, whichever m is asked."""
-    def read(m: int) -> np.ndarray:
-        return a[1:m + 1] + b[m - 1::-1] + c[m]
+    costs one vector sum.  ``read(m)`` orders it by d = 1..m; ``read(m, out)``
+    writes it into out[:m] by r = 0..m - 1, from contiguous slices."""
+    a_rev = _read_only(a[:0:-1].copy())  # a_rev[-m:][r] = a[m - r]
+
+    def read(m: int, out=None) -> np.ndarray:
+        if out is None:
+            return a[1:m + 1] + b[m - 1::-1] + c[m]
+        row = np.add(a_rev[-m:], b[:m], out=out[:m])
+        row += c[m]
+        return row
     return read
 
 
@@ -315,36 +326,42 @@ def _first_block_reader(rule, n: int):
     """Return ``row(m)``: log C(m, d) q(m - d, d) plus a constant of the row,
     d = 1..m, for m <= n taken in non-increasing order.  The constant (the
     log total rate of an index) drops out of an inverse-CDF draw.
+    ``row(m, out)`` writes it into out[:m] in survivor order r = m - d.
 
     For a separable index log C(m, d) = lf[m] - lf[d] - lf[r] joins its
     terms, so a row is one vector sum.  Entry i of each term depends on i
-    alone, so the index remembers the longest terms asked for and reads
-    shorter ones from them.
+    alone, so the index remembers the reader of the longest terms asked for
+    and reads shorter rows from it.
     """
     if rule._log_terms is not None:
         memo = _memo(rule)
-        terms = memo.get("first block")
-        if terms is None or len(terms[0]) <= n:
+        have = memo.get("first block")
+        if have is None or have[0] < n:
             lf = _log_factorials(n)
             a, b, c = rule._log_terms(n)
-            terms = memo["first block"] = tuple(
-                _read_only(x) for x in (a - lf, b - lf, c + lf))
-        return _separable_reader(*terms)
+            have = memo["first block"] = (n, _separable_reader(*(
+                _read_only(x) for x in (a - lf, b - lf, c + lf))))
+        return have[1]
     lf = _log_factorials(n)
     read = rule._log_row_reader(n)
 
-    def row(m: int) -> np.ndarray:
-        return lf[m] - lf[1:m + 1] - lf[m - 1::-1] + read(m)
+    def row(m: int, out=None) -> np.ndarray:
+        w = lf[m] - lf[1:m + 1] - lf[m - 1::-1] + read(m)
+        if out is None:
+            return w
+        out[:m] = w[::-1]
+        return out[:m]
     return row
 
 
-def _first_block_log_rows(rule, n: int):
-    """Yield log C(m, d) q(m - d, d), d = 1..m, for m = n down to 1: the rows
-    of ``_first_block_reader`` less their constant, log unit_total_rate(m)
-    (1 for a SplittingTable, whose rows are probabilities already)."""
-    row = _first_block_reader(rule, n)
-    for m in range(n, 0, -1):
-        yield row(m) - math.log(rule.unit_total_rate(m))
+def _log_unit_total(rule, m: int) -> float:
+    """log unit_total_rate(m); a rate that is 0 or not finite in doubles
+    raises NumericError."""
+    psi = rule.unit_total_rate(m)
+    if not 0.0 < psi < math.inf:
+        raise NumericError(f"the total rate with {m} at risk is {psi!r} in "
+                           "doubles")
+    return math.log(psi)
 
 
 def _draw_block_sizes(logw: np.ndarray, u):
@@ -378,12 +395,13 @@ class CharacteristicIndex:
     Instances are immutable after construction and safe for concurrent reads.
     An instance remembers, as read-only arrays, each outer diagonal of log
     block rates it evaluates (one per n asked), and a separable one its
-    longest first-block terms.  Every instance remembers the hazards and
-    atom factors its predictive walk reads; gamma and power indices also
-    remember each single rate asked, an entry of their array rule
-    (``_IntegralIndex``).  Those dicts hold at most ``_MEMO_MAX`` = 65,536
-    entries each (6.3 to 8.9 MB full) and are emptied when full.  The memo
-    lives on the instance, not in a shared cache.
+    longest first-block terms, the first also reversed.  Every instance
+    remembers the hazards and atom factors its predictive walk reads; gamma
+    and power indices also remember each single rate asked, an entry of
+    their array rule (``_IntegralIndex``).  Those dicts hold at most
+    ``_MEMO_MAX`` = 65,536 entries each (6.3 to 8.9 MB full) and are
+    emptied when full.  The memo lives on the instance, not in a shared
+    cache.
     """
 
     @property
@@ -401,7 +419,11 @@ class CharacteristicIndex:
             raise ParameterError(f"risk-set size must be >= 0, got {n}")
         if n == 0:
             return 0.0
-        return self.scale * self.unit_total_rate(n)
+        rate = self.scale * self.unit_total_rate(n)
+        if not 0.0 < rate < math.inf:
+            raise NumericError(f"the total rate with {n} at risk is {rate!r} "
+                               "in doubles")
+        return rate
 
     def block_rate(self, r: int, d: int) -> float:
         _check_rd(r, d)
@@ -1088,7 +1110,7 @@ def build_table(index: CharacteristicIndex, max_n: int) -> SplittingTable:
     d = np.arange(1, max_n + 1)
     read = index._log_row_reader(max_n)
     for m in range(max_n, 0, -1):
-        logq = read(m) - math.log(index.unit_total_rate(m))
+        logq = read(m) - _log_unit_total(index, m)
         row = np.minimum(np.exp(logq), 1.0)
         bad = np.flatnonzero(~np.isfinite(row))
         if bad.size:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .index import (CharacteristicIndex, ParameterError, SplittingTable,
                     _check_risk_set, _draw_block_sizes,
-                    _first_block_log_rows, _first_block_reader)
+                    _first_block_reader, _log_unit_total)
 
 __all__ = [
     "OrderedPartition",
@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 Rule = Union[CharacteristicIndex, SplittingTable]
+
+# Largest n whose exact mean block count block_growth_csv computes: the
+# dynamic program is O(n**2), about 2 s at this n on a 2-CPU machine, and
+# a larger n leaves its expected_k empty.
+MAX_EXACT_BLOCKS = 2 ** 15
 
 
 @lru_cache(maxsize=None)
@@ -147,7 +152,8 @@ def first_block_distribution(n: int, rule: Rule) -> np.ndarray:
     if n < 1:
         raise ParameterError("n must be >= 1")
     out = np.zeros(n + 1)
-    out[1:] = np.exp(next(_first_block_log_rows(rule, n)))
+    out[1:] = np.exp(_first_block_reader(rule, n)(n)
+                     - _log_unit_total(rule, n))
     return out
 
 
@@ -228,15 +234,23 @@ def expected_blocks(n: int, rule: Rule) -> float:
 
     Each block leaves one risk-set size m on the way down from n, so the
     mean is the sum over m = 1..n of the chance that the chain visits m.
-    Those chances follow from the first-block laws taken top-down, in the
-    order the row source gives them, so no row is kept once used.
+    Those chances follow from the first-block laws taken top-down: each row
+    of ``_first_block_reader``, less log unit_total_rate(m), is built in one
+    buffer in survivor order and added to the chances below m, so no row is
+    kept.  O(n**2) time, O(n) memory: on a 2-CPU machine about 41 ms for
+    harmonic at n = 4,096 and 0.40 s at n = 16,384.
     """
     _check_risk_set(n)
+    row = _first_block_reader(rule, n)
     visit = np.zeros(n + 1)
     visit[n] = 1.0
-    for logw in _first_block_log_rows(rule, n):
-        m = len(logw)
-        visit[m - 1::-1] += visit[m] * np.exp(logw)
+    buf = np.empty(n)
+    for m in range(n, 0, -1):
+        w = row(m, buf)
+        w -= _log_unit_total(rule, m)
+        np.exp(w, out=w)
+        w *= visit[m]
+        visit[:m] += w
     return float(visit[1:].sum())
 
 
@@ -266,12 +280,14 @@ def block_growth_probe(index: CharacteristicIndex, n_list: Sequence[int],
 
 def block_growth_csv(rows: Sequence[BlockGrowthRow],
                      index: CharacteristicIndex) -> str:
-    """Rows as CSV text, each with the exact mean block count of its n and
-    the generating family; numbers to six significant digits."""
+    """Rows as CSV text, each with the exact mean block count of its n (empty
+    above MAX_EXACT_BLOCKS) and the generating family; numbers to six
+    significant digits."""
     name, _, params = index.describe().partition("(")
     lines = ["n,mean_k,se,reps,expected_k,family,params"]
     for row in rows:
+        exact = (f"{expected_blocks(row.n, index):.6g}"
+                 if row.n <= MAX_EXACT_BLOCKS else "")
         lines.append(f"{row.n},{row.mean_blocks:.6g},{row.se:.6g},{row.reps},"
-                     f"{expected_blocks(row.n, index):.6g},{name},"
-                     f"\"{params.rstrip(')')}\"")
+                     f"{exact},{name},\"{params.rstrip(')')}\"")
     return "\n".join(lines) + "\n"

@@ -270,6 +270,53 @@ def test_blocks_table(tmp_path, capsys):
         assert abs(mean_k - exact) < 4.0 * se
 
 
+def test_blocks_leaves_expected_k_empty_above_the_cap(tmp_path, capsys,
+                                                     monkeypatch):
+    from marksurv import ranking
+    asked = []
+    exact = ranking.expected_blocks
+
+    def spy(n, rule):
+        asked.append(n)
+        return exact(n, rule)
+
+    monkeypatch.setattr(ranking, "MAX_EXACT_BLOCKS", 40)
+    monkeypatch.setattr(ranking, "expected_blocks", spy)
+    out = tmp_path / "blocks.csv"
+    assert run(["blocks", "--n-list", "32,64", "--reps", 3, "--seed", 9,
+                "--out", out]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    assert asked == [32]
+    assert float(rows[0][4]) > 0.0 and rows[1][4] == ""
+    assert [row[0] for row in rows] == ["32", "64"]
+
+
+@pytest.mark.parametrize("argv, rate", [
+    (["simulate", "-n", 5, "--family", "beta", "--rho", 1e300], "0.0"),
+    (["blocks", "--n-list", 5, "--reps", 3, "--family", "beta",
+      "--rho", 1e300], "0.0"),
+    (["simulate", "-n", 5, "--nu", 1e308, "--rho", 0.001], "inf"),
+], ids=["simulate", "blocks", "simulate-overflow"])
+def test_total_rate_out_of_doubles_exits_with_numeric_code(tmp_path, capsys,
+                                                           argv, rate):
+    # BetaSplitIndex(rho=1e300, beta=0.5) has psi(m) = 0.0 in doubles; at
+    # nu = 1e308 the harmonic total rate nu psi(5) overflows, and every
+    # holding time would be 0.
+    assert run([*argv, "--beta", 0.5, "--seed", 1,
+                "--out", tmp_path / "x.csv"]) == 4
+    err = capsys.readouterr().err
+    assert err == f"numeric error: the total rate with 5 at risk is {rate} " \
+                  "in doubles\n"
+
+
+def test_blocks_at_huge_rho_warns_nothing(tmp_path, capsys):
+    # RuntimeWarning is an error here, so an overflow in the rates fails.
+    out = tmp_path / "blocks.csv"
+    assert run(["blocks", "--family", "harmonic", "--rho", 1e308,
+                "--n-list", 5, "--reps", 3, "--seed", 1, "--out", out]) == 0
+    assert out.read_text().splitlines()[1].startswith("5,5,0,3,5,harmonic,")
+
+
 def test_usage_error_on_bad_grid(tmp_path, capsys):
     code = run(["predict", "--data", "builtin:gehan", "--grid", "oops",
                 "--out", tmp_path / "c.csv"])

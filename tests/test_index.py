@@ -1052,6 +1052,30 @@ def test_log_factorial_table_is_lgamma_and_agrees_with_scipy():
     assert not longer.flags.writeable
 
 
+def _uncapped_log_rising(x, k):
+    """_log_rising as it reads without the cap on t before squaring."""
+    def series(t):
+        t2 = t * t
+        return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * t2)) / t2) / t
+
+    y = x + k
+    return ((x - 0.5) * np.log1p(k / x) + k * np.log(y) - k
+            + series(y) - series(x))
+
+
+def test_log_rising_cap_moves_no_bit_and_never_overflows():
+    k = np.array([-0.9, -0.5, 0.0, 0.5, 1.0, 2.0, 17.0, 4096.0])
+    for x in np.geomspace(100.0, 1e150, 301).tolist():
+        assert np.array_equal(index_mod._log_rising(x, k),
+                              _uncapped_log_rising(x, k))
+    # Past 1.3e154, t * t overflows; the uncapped series still lands on
+    # 1 / (12 t), which the capped one gives without a warning.
+    for x in np.geomspace(1e150, 1e308, 61).tolist():
+        with np.errstate(over="ignore"):
+            want = _uncapped_log_rising(x, k)
+        assert np.array_equal(index_mod._log_rising(x, k), want)
+
+
 def _scipy_log_terms(index, n):
     """The separable terms as computed with scipy's gammaln."""
     i = np.arange(n + 1, dtype=float)

@@ -647,6 +647,15 @@ def test_block_the_next_lifetime_cannot_survive():
     assert all(sample_next(history, index, rng) <= 1.0 for _ in range(200))
 
 
+def test_total_rate_underflowing_to_zero_raises_numeric_error():
+    # Every psi(m) of this index is 0.0 in doubles.
+    index = BetaSplitIndex(rho=1e300, beta=0.5)
+    for reps in (1, 3):
+        with pytest.raises(NumericError,
+                           match=r"^the total rate with 5 at risk is 0\.0"):
+            simulate_batch(5, index, reps, make_rng(0))
+
+
 def test_zero_singleton_hazard_raises_numeric_error():
     # alpha**1100 (1 - alpha) underflows to 0: no lifetime can be drawn.
     history = RiskSetTrajectory(1100, ())
@@ -666,18 +675,23 @@ def test_zero_singleton_hazard_raises_numeric_error():
 CONTINUITY_GRID = [0.5, 1.001, 2.0, 5.0]
 
 
-def continuity_gaps(index, delta):
-    """Largest predictive_survival gap between the tied and split histories
-    of 10 at risk, without and with an earlier event censoring 2."""
-    gaps = []
+def continuity_histories(delta):
+    """The tied and split histories of 10 at risk, without and with an
+    earlier event censoring 2."""
     for head in ((), (Event(0.5, 0, 2),)):
         tied = RiskSetTrajectory(10, head + (Event(1.0, 3, 0),))
         split = RiskSetTrajectory(10, head + tuple(
             Event(1.0 + j * delta, 1, 0) for j in range(3)))
-        gaps.append(np.abs(
-            predictive_survival(CONTINUITY_GRID, tied, index)
-            - predictive_survival(CONTINUITY_GRID, split, index)).max())
-    return np.array(gaps)
+        yield tied, split
+
+
+def continuity_gaps(index, delta):
+    """Largest predictive_survival gap between the tied and split histories
+    of each pair."""
+    return np.array([np.abs(
+        predictive_survival(CONTINUITY_GRID, tied, index)
+        - predictive_survival(CONTINUITY_GRID, split, index)).max()
+        for tied, split in continuity_histories(delta)])
 
 
 @pytest.mark.parametrize("index", [HarmonicIndex(0.7, 2.3),
@@ -699,6 +713,31 @@ def test_harmonic_predictive_is_weakly_continuous(index):
 def test_other_predictives_jump_when_a_tie_splits(index):
     # Measured: at least 2.57e-4 at delta = 1e-6.
     assert continuity_gaps(index, 1e-6).min() >= 1e-4
+
+
+@pytest.mark.parametrize("index", [HarmonicIndex(0.7, 2.3),
+                                   GammaIndex(0.7, 2.3)],
+                         ids=["harmonic", "gamma"])
+def test_predictive_draw_follows_the_curve_after_a_tie_or_its_split(index):
+    # Each grid cell's count of draws above t is scored by its exact
+    # binomial tail, as compare_constructions scores the measure route.
+    # For harmonic the split history's draws also follow the tied curve:
+    # the weak-continuity limit, on the draw as well as on the curve.
+    from marksurv.random_measure import _binomial_z
+    rng = make_rng(77)
+    reps = 40000
+    for tied, split in continuity_histories(1e-6):
+        curves = {"tied": predictive_survival(CONTINUITY_GRID, tied, index),
+                  "split": predictive_survival(CONTINUITY_GRID, split, index)}
+        for name, history in (("tied", tied), ("split", split)):
+            draws = np.array([sample_next(history, index, rng)
+                              for _ in range(reps)])
+            hits = (draws[:, None] > CONTINUITY_GRID).sum(axis=0)
+            against = ("tied", "split") if isinstance(
+                index, HarmonicIndex) else (name,)
+            for curve in against:
+                z = _binomial_z(hits, reps, curves[curve])
+                assert np.abs(z).max() < 4.5, (name, curve, z)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
-from marksurv.index import (MAX_TABLE_ROWS, BetaSplitIndex, GammaIndex,
-                            GeometricIndex, HarmonicIndex, LinearIndex,
-                            LinearShiftIndex, NumericError, ParameterError,
+from marksurv.index import (MAX_TABLE_ROWS, BetaSplitIndex,
+                            DislocationMeasure, GammaIndex, GeometricIndex,
+                            HarmonicIndex, LinearIndex, LinearShiftIndex,
+                            MeasureIndex, NumericError, ParameterError,
                             PowerIndex,
                             _draw_block_sizes, _first_block_reader,
                             build_table)
@@ -205,6 +207,73 @@ def test_first_block_power_law_beta_negative():
         special.gammaln(d + beta) - special.gammaln(d + 1.0))
     rel = np.abs(p[1:21] / limit - 1.0)
     assert rel.max() < 0.05
+
+
+def _reference_expected_blocks(n, rule):
+    """The block-count dynamic program as a plain loop: each first-block
+    row in block-size order, less log psi(m), added to the visit chances
+    of the sizes below m through a reversed view."""
+    row = _first_block_reader(rule, n)
+    visit = np.zeros(n + 1)
+    visit[n] = 1.0
+    for m in range(n, 0, -1):
+        logw = row(m) - math.log(rule.unit_total_rate(m))
+        visit[m - 1::-1] += visit[m] * np.exp(logw)
+    return float(visit[1:].sum())
+
+
+DP_RULES = {
+    "harmonic0.01": lambda: HarmonicIndex(1.0, 0.01),
+    "harmonic1": lambda: HarmonicIndex(1.0, 1.0),
+    "harmonic250": lambda: HarmonicIndex(2.0, 250.0),
+    "beta-0.9": lambda: BetaSplitIndex(1.0, -0.9),
+    "beta0.5": lambda: BetaSplitIndex(1.0, 0.5),
+    "geometric": lambda: GeometricIndex(0.3),
+    "linear": lambda: LinearIndex(),
+    "linear-shift": lambda: LinearShiftIndex(1.5),
+    "gamma": lambda: GammaIndex(1.0, 2.0),
+    "power": lambda: PowerIndex(0.5),
+    "table": lambda: build_table(HarmonicIndex(1.0, 2.0), 300),
+    "measure": lambda: MeasureIndex(dislocation=DislocationMeasure(
+        density=lambda x: (1.0 - x) ** -0.5, atoms=((0.4, 0.3),)),
+        erosion=0.2),
+}
+
+
+@pytest.mark.parametrize("make", DP_RULES.values(), ids=DP_RULES.keys())
+def test_expected_blocks_is_the_reference_dynamic_program_bit_for_bit(make):
+    # On one rule, n rising rebuilds the remembered rows each time; the
+    # second pass reads shorter rows from the longest ones.
+    rule = make()
+    for n in (1, 2, 3, 17, 300, 17, 3):
+        assert expected_blocks(n, rule) == _reference_expected_blocks(n, rule)
+    assert expected_blocks(17, make()) == _reference_expected_blocks(17, rule)
+
+
+def test_expected_blocks_harmonic_golden_value():
+    # A dynamic program over the benchmark's own closed-form rates gives
+    # 28.426692736431377, 4.6e-14 away.
+    assert expected_blocks(4096, HarmonicIndex(1.0, 1.0)) == pytest.approx(
+        28.42669273643008, rel=1e-13, abs=0)
+
+
+def test_expected_blocks_at_huge_rho_warns_nothing():
+    # Every block is a singleton in doubles; the log rows, near -709 d,
+    # carry an absolute error near 1e-13, so the mean is 5 to about 2e-13.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert expected_blocks(5, HarmonicIndex(1.0, 1e308)) == \
+            pytest.approx(5.0, rel=1e-12)
+
+
+def test_total_rate_underflowing_to_zero_raises_numeric_error():
+    index = BetaSplitIndex(rho=1e300, beta=0.5)
+    for call in (lambda: expected_blocks(5, index),
+                 lambda: first_block_distribution(5, index),
+                 lambda: build_table(index, 5)):
+        with pytest.raises(NumericError,
+                           match=r"^the total rate with 5 at risk is 0\.0"):
+            call()
 
 
 def test_expected_blocks_linear_families():
