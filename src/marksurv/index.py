@@ -5,12 +5,13 @@ Its value at n is the total failure intensity of the risk-set chain while n
 individuals remain at risk, and its signed forward differences give the
 intensity attached to each possible block of simultaneous failures.  This
 module provides the built-in families, numerically stable difference
-evaluation (closed forms where available; for the gamma and power
-families a trapezoid rule over the Levy-measure integral, every rate of an
-array in one pass and a single rate as a one-entry array; scaled adaptive
-quadrature for measures and as the fallback), splitting-rule tables with
-normalization/consistency diagnostics, and the conversions between the
-dislocation-measure and Levy-measure representations of the same process.
+evaluation (closed forms where available, harmonic being the beta integral
+at beta = 0; for the gamma and power families a trapezoid rule over the
+Levy-measure integral, every rate of an array in one pass and a single
+rate as a one-entry array; scaled adaptive quadrature for measures and as
+the fallback), splitting-rule tables with normalization/consistency
+diagnostics, and the conversions between the dislocation-measure and
+Levy-measure representations of the same process.
 
 Full tables and the block-count dynamic program need every rate in the
 triangle r + d <= n.  They evaluate only the outer diagonal r + d = n, in
@@ -87,9 +88,9 @@ class _LazyModule:
 
 
 # scipy is loaded only where a path needs it: scalar quadrature (the gamma
-# or power rate whose array-rule error estimate fails, and measures), beta
-# rates and the random-measure route.  Closed-form and array-rule rates,
-# walks, fits and predictions run on math and numpy alone.
+# or power rate whose array-rule error estimate fails, and measures) and
+# the random-measure route.  Closed-form and array-rule rates, beta rates
+# among them, walks, fits and predictions run on math and numpy alone.
 integrate = _LazyModule("scipy.integrate")
 special = _LazyModule("scipy.special")
 
@@ -199,6 +200,22 @@ def _log_rising(x, k):
             + series(y) - series(x))
 
 
+def _log_gamma_ratio(x: float, k: float):
+    """log |Gamma(x + k) / Gamma(x)| for x > 0 and x + k > -1, not 0, and
+    its rounding; from x = _STIRLING_MIN on by _log_rising's series in
+    floats, faster than numpy scalars, where t * t overflows quietly."""
+    if x < _STIRLING_MIN:
+        hi, lo = math.lgamma(x + k), math.lgamma(x)
+        return hi - lo, (abs(hi) + abs(lo)) * _EPS
+
+    def series(t):
+        t2 = t * t
+        return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * t2)) / t2) / t
+    v = ((x - 0.5) * math.log1p(k / x) + k * math.log(x + k) - k
+         + series(x + k) - series(x))
+    return v, abs(v) * _EPS
+
+
 # scipy's digamma (Cephes psi): the asymptotic series coefficients, highest
 # order first, and Boost's rational approximation on [1, 2], written relative
 # to the positive root of digamma.
@@ -247,17 +264,6 @@ def _digamma(x: float) -> float:
         return y + (g * _PSI_Y + g * r)
     z = 1.0 / (x * x)
     return y + (math.log(x) - 0.5 / x - z * _polevl(z, _PSI_ASYMPTOTIC))
-
-
-def _digamma_difference(rho: float, n: int) -> float:
-    """digamma(n + rho) - digamma(rho), the harmonic index at unit scale."""
-    hi = _digamma(n + rho)
-    lo = _digamma(rho)
-    if (abs(hi) + abs(lo)) * _EPS > _CANCEL_TOL * (hi - lo):
-        # At large rho the two digammas cancel; the difference telescopes
-        # into the positive singleton rates 1 / (rho + k), k < n.
-        return float((1.0 / (rho + np.arange(n))).sum())
-    return hi - lo
 
 
 def _separable_reader(a: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -527,36 +533,76 @@ class _AlphaIndex(CharacteristicIndex):
                 f"alpha must lie in (0, 1), got {self.alpha}")
 
 
-@dataclass(frozen=True, repr=False)
-class HarmonicIndex(_NuRhoIndex):
-    """Digamma-difference family; its predictive distributions are the only
-    ones among Markov survival processes that vary weakly continuously with
-    the observed failure times."""
+class _BetaIntegralIndex(CharacteristicIndex):
+    """Rates B(rho + r, beta + d) of Hjort's (1990) beta process: stable-beta
+    for -1 < beta < 0, harmonic at beta = 0.  A single rate and an array of
+    rates take log B by one expression, through math.lgamma and its
+    elementwise ``_lgamma``, so the two agree bit for bit."""
 
-    def unit_total_rate(self, n: int) -> float:
-        return _digamma_difference(self.rho, n)
+    beta = 0.0
 
-    @staticmethod
-    def _rho_at_unit_rate(x: float) -> float:
-        """The rho at which unit_total_rate(1) = 1 / rho equals x."""
-        return 1.0 / x
+    def _log_beta(self, a, b, lgamma=math.lgamma):
+        """log |B(a, b)| for a >= rho and b > -1; from rho = _STIRLING_MIN
+        on, lgamma(a + b) - lgamma(a) is Stirling's series."""
+        if self.rho < _STIRLING_MIN:
+            return lgamma(b) + lgamma(a) - lgamma(a + b)
+        return lgamma(b) - _log_rising(a, b)
 
     def log_unit_block_rate(self, r: int, d: int) -> float:
         _check_rd(r, d)
-        a = self.rho + r
-        if self.rho < _STIRLING_MIN:
-            return math.lgamma(d) + math.lgamma(a) - math.lgamma(a + d)
-        return math.lgamma(d) - float(_log_rising(a, d))
+        return float(self._log_beta(self.rho + r, self.beta + d))
+
+    def _log_rates(self, r: np.ndarray, d: np.ndarray) -> np.ndarray:
+        return self._log_beta(self.rho + r, self.beta + d, _lgamma)
+
+    def unit_total_rate(self, n: int) -> float:
+        """psi(n) = sum of B(rho + k, beta + 1) over k < n: digamma(rho + n)
+        - digamma(rho) at beta = 0, else B(rho, beta) - B(rho + n, beta).
+        B(rho + n, beta) has the sign of beta, and so has B(rho, beta)
+        unless Gamma(rho + beta) <= 0, where the two add."""
+        rho, b = self.rho, self.beta
+        if b == 0.0:
+            hi, lo = _digamma(n + rho), _digamma(rho)
+            if (abs(hi) + abs(lo)) * _EPS <= _CANCEL_TOL * (hi - lo):
+                return hi - lo
+            return float((1.0 / (rho + np.arange(n))).sum())
+        rise_n, err_n = _log_gamma_ratio(rho + n, b)
+        if rho + b == 0.0:  # 1 / Gamma(0) = 0, so B(rho, beta) = 0
+            return math.exp(math.lgamma(b) - rise_n)
+        rise, err = _log_gamma_ratio(rho, b)
+        delta = rise - rise_n  # log |B(rho + n, beta) / B(rho, beta)|
+        ends = 1.0 + math.exp(delta)
+        gap = ends if rho + b < 0.0 else abs(math.expm1(delta))
+        # psi is |B(rho, beta)| times the gap, unless rounding swamps the gap.
+        if err + err_n + ends * _EPS <= _CANCEL_TOL * gap:
+            try:  # |B(rho, beta)|, by Stirling's series in a large beta
+                return gap * math.exp(
+                    math.lgamma(b) - rise if b < _STIRLING_MIN
+                    else math.lgamma(rho) - _log_gamma_ratio(b, rho)[0])
+            except OverflowError:
+                return math.inf
+        # Where the ends cancel (small beta, large rho), psi is summed from
+        # its positive singleton rates lambda(k, 1), k < n.
+        return float(np.exp(self._log_rates(np.arange(n), np.ones(n))).sum())
 
     def _log_terms(self, n: int):
         i = np.arange(n + 1, dtype=float)
-        # Only differences g[r] - g[r + d] enter the rates.
         if self.rho < _STIRLING_MIN:
-            g = _lgamma(self.rho + i)
+            b = _lgamma(self.rho + i)
+            c = -_lgamma(np.maximum(self.rho + self.beta + i, _EPS))
         else:
-            g = _log_rising(self.rho, i)
-        # a[d] = log (d - 1)!, and a[0] = 0 (never read).
-        return np.concatenate([[0.0], _log_factorials(n - 1)]), g, -g
+            # The same terms less log Gamma(rho), which cancels in b + c.
+            b = _log_rising(self.rho, i)
+            c = -_log_rising(self.rho, self.beta + i)
+        # a[0] and c[0] are never read; the floor keeps lgamma off its pole.
+        return _lgamma(np.maximum(self.beta + i, _EPS)), b, c
+
+
+@dataclass(frozen=True, repr=False)
+class HarmonicIndex(_NuRhoIndex, _BetaIntegralIndex):
+    """Digamma-difference family, the beta rule at beta = 0 times nu; its
+    predictive distributions alone among Markov survival processes vary
+    weakly continuously with the observed failure times."""
 
 
 # Scaling probes for the gamma integrand in its rescaled variable.
@@ -667,12 +713,6 @@ class GammaIndex(_NuRhoIndex, _IntegralIndex):
 
     def unit_total_rate(self, n: int) -> float:
         return math.log1p(n / self.rho)
-
-    @staticmethod
-    def _rho_at_unit_rate(x: float) -> float:
-        """The rho at which unit_total_rate(1) = log(1 + 1 / rho) equals x:
-        1 / expm1(x), written to underflow rather than overflow."""
-        return math.exp(-x) / -math.expm1(-x)
 
     def _log_singletons(self, r: np.ndarray) -> np.ndarray:
         return np.log(np.log1p(1.0 / (self.rho + r)))
@@ -799,7 +839,7 @@ class LinearShiftIndex(CharacteristicIndex):
 
 
 @dataclass(frozen=True, repr=False)
-class BetaSplitIndex(CharacteristicIndex):
+class BetaSplitIndex(_BetaIntegralIndex):
     """Family whose dislocation measure has a beta-type density
     x**(rho-1) * (1-x)**(beta-1); block rates are exact beta integrals.
 
@@ -815,47 +855,6 @@ class BetaSplitIndex(CharacteristicIndex):
         if not (-1.0 < self.beta < math.inf):
             raise ParameterError(
                 f"beta must be finite and > -1, got {self.beta}")
-
-    def _log_rates(self, r, d):
-        """log B(rho + r, beta + d), elementwise; at large rho through
-        Stirling's series, as for the harmonic family."""
-        if self.rho < _STIRLING_MIN:
-            return special.betaln(self.rho + r, self.beta + d)
-        return special.gammaln(self.beta + d) - _log_rising(self.rho + r,
-                                                            self.beta + d)
-
-    def unit_total_rate(self, n: int) -> float:
-        b = self.beta
-        if b == 0.0:
-            return _digamma_difference(self.rho, n)
-        if self.rho < _STIRLING_MIN:
-            head = math.exp(math.lgamma(self.rho) - math.lgamma(self.rho + b))
-            tail = math.exp(math.lgamma(n + self.rho)
-                            - math.lgamma(n + self.rho + b))
-        else:
-            head = math.exp(-_log_rising(self.rho, b))
-            tail = math.exp(-_log_rising(n + self.rho, b))
-        if (head + tail) * _EPS > _CANCEL_TOL * abs(head - tail):
-            # At small beta or large rho head and tail cancel; the index
-            # telescopes into the positive singleton rates lambda(k, 1), k < n.
-            k = np.arange(n, dtype=float)
-            return float(np.exp(self._log_rates(k, 1.0)).sum())
-        return math.exp(math.lgamma(b + 1.0)) / b * (head - tail)
-
-    def log_unit_block_rate(self, r: int, d: int) -> float:
-        _check_rd(r, d)
-        return float(self._log_rates(r, d))
-
-    def _log_terms(self, n: int):
-        i = np.arange(n + 1, dtype=float)
-        if self.rho < _STIRLING_MIN:
-            b = _lgamma(self.rho + i)
-            c = -_lgamma(self.rho + self.beta + i)
-        else:
-            # The same terms less log Gamma(rho), which cancels in b + c.
-            b = _log_rising(self.rho, i)
-            c = -_log_rising(self.rho, self.beta + i)
-        return _lgamma(np.maximum(self.beta + i, _EPS)), b, c
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ distinct-failure-time count and the integrated unit rate are sufficient and
 the scale maximizes in closed form; rho is profiled on a log grid with
 golden-section refinement; standard errors come from the profile's
 curvature in log rho.  A moment-style estimator matching the observed death
-count, whose root is also in closed form, profile-likelihood intervals, the
-Kaplan-Meier product-limit estimator, and empirical-Bayes predictive curves
-round out the module.
+count, whose root is bisected in log rho, profile-likelihood intervals,
+the Kaplan-Meier product-limit estimator, and empirical-Bayes predictive
+curves round out the module.
 """
 
 from __future__ import annotations
@@ -58,10 +58,10 @@ FITTED_FAMILIES = tuple(name for name, cls in FAMILIES.items()
 # Profile grid on log rho; wide because the profile is typically flat far
 # from the origin.
 _PROFILE_GRID = (-3.0, 8.0, 60)
-# The moment iteration stops once rho moves by less than _MOMENT_TOL
-# relative, and fails after _MOMENT_MAX_ITER steps.
-_MOMENT_TOL = 1e-8
-_MOMENT_MAX_ITER = 200
+# Doubling steps in log rho from rho = 1 bracket the moment root, stopping
+# before exp would overflow; bisection narrows it to _MOMENT_TOL.
+_MOMENT_TOL = 1e-10
+_MOMENT_LOG_RHO_MAX = 709.0
 # The golden-section search on log rho stops once its bracket is this narrow.
 _GOLDEN_TOL = 1e-6
 # Step in log rho of the central differences of the profile log likelihood;
@@ -332,10 +332,10 @@ def fit_mle(data: Dataset, family: str,
 
 def fit_moment(data: Dataset, family: str) -> FitResult:
     """Moment-style fit: match the observed death count to the implied
-    per-individual rate nu Psi_rho(1) times the total risk time.  Each step
-    takes the closed-form scale at rho, then the rho solving the equation
-    at that scale, also in closed form, since Psi_rho(1) is 1/rho for
-    harmonic and log(1 + 1/rho) for gamma."""
+    per-individual rate nu Psi_rho(1) (nu at its closed form) times the total
+    risk time.  That rate, k / sum(span Psi_rho(m) / Psi_rho(1)), falls with
+    rho: the ratio is sum_{j<m} rho/(rho + j) for harmonic and
+    log(1 + m/rho) / log(1 + 1/rho) for gamma."""
     if data.n_failures == 0:
         raise ParameterError("fitting needs at least one failure")
     traj = data.trajectory
@@ -350,15 +350,20 @@ def fit_moment(data: Dataset, family: str) -> FitResult:
     if target * traj.time[-1] >= k:
         raise ParameterError("moment equation has no root: deaths per unit "
                              "risk time reach k / (last time at risk)")
-    rho = 1.0
-    for _ in range(_MOMENT_MAX_ITER):
-        nu = mle_nu_given_rho(data, family, rho)
-        rho, last = FAMILIES[family]._rho_at_unit_rate(target / nu), rho
-        if abs(rho - last) < _MOMENT_TOL * last:
-            break
-    else:
-        raise NumericError("moment iteration failed to converge")
-    return _fit_at(data, family, "moment", rho)
+    lo, hi, g = -math.inf, math.inf, 0.0
+    while hi - lo > _MOMENT_TOL:
+        if abs(g) > _MOMENT_LOG_RHO_MAX:
+            raise NumericError("the moment equation's root lies past rho = "
+                               f"e**{(g - math.copysign(1.0, g)) / 2:+g}")
+        rho = math.exp(g)
+        if (mle_nu_given_rho(data, family, rho)
+                * family_index(family, rho).unit_total_rate(1) > target):
+            lo = g
+        else:
+            hi = g
+        g = (0.5 * (lo + hi) if math.isfinite(lo + hi)
+             else 2.0 * g + (1.0 if lo == g else -1.0))
+    return _fit_at(data, family, "moment", math.exp(0.5 * (lo + hi)))
 
 
 def profile_interval(fit: FitResult, level: float = 0.95):

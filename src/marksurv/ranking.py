@@ -47,17 +47,13 @@ Rule = Union[CharacteristicIndex, SplittingTable]
 MAX_EXACT_BLOCKS = 2 ** 15
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _stirling2_row(n: int) -> tuple:
     """Row n of the Stirling-number-of-the-second-kind triangle, exact."""
-    if n == 0:
-        return (1,)
-    prev = _stirling2_row(n - 1)
-    row = [0] * (n + 1)
-    for k in range(1, n + 1):
-        row[k] = k * prev[k] if k < n else 0
-        row[k] += prev[k - 1]
-    return tuple(row)
+    row = (1,)
+    for i in range(1, n + 1):
+        row = (0, *[k * row[k] + row[k - 1] for k in range(1, i)], 1)
+    return row
 
 
 def stirling2(n: int, k: int) -> int:

@@ -404,8 +404,8 @@ NO_SCIPY_COMMANDS = {
                          ids=["import", *NO_SCIPY_COMMANDS])
 def test_closed_form_commands_load_no_scipy(tmp_path, argv):
     # scipy is loaded only by paths that call into it (the scalar quadrature
-    # fallback, beta rates, the random-measure route); importing it costs
-    # more than the work of any of these commands.
+    # fallback, the random-measure route); importing it costs more than the
+    # work of any of these commands.
     env = dict(os.environ, MARKSURV_OUTDIR=str(tmp_path),
                PYTHONPATH=os.path.dirname(os.path.dirname(marksurv.__file__)))
     code = ("import sys, json, contextlib, io, marksurv.cli\n"
@@ -418,3 +418,11 @@ def test_closed_form_commands_load_no_scipy(tmp_path, argv):
     out = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
                          env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_beta_simulate_with_large_beta_exits_zero(tmp_path, monkeypatch):
+    # Gamma(beta + 1) overflows from beta = 171; the total rate is taken in
+    # logs instead.
+    monkeypatch.setenv("MARKSURV_OUTDIR", str(tmp_path))
+    assert main(["simulate", "--family", "beta", "--rho", "1", "--beta",
+                 "500", "-n", "5", "--seed", "1", "--out", "t.csv"]) == 0

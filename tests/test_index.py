@@ -19,7 +19,7 @@ from marksurv.index import (FAMILIES, MAX_TABLE_ROWS, BetaSplitIndex,
                             dislocation_from_levy, index_from_spec,
                             levy_from_dislocation, normalization_defect,
                             weak_continuity_defect)
-from marksurv.process import simulate
+from marksurv.process import simulate, simulate_seeded
 from marksurv.ranking import expected_blocks
 
 mp.mp.dps = 50
@@ -309,6 +309,54 @@ def test_total_rate_without_cancellation():
         float(exact), rel=1e-14)
 
 
+@pytest.mark.parametrize("rho, beta", [
+    (2.0, 0.5), (1.0, -0.5), (1.0, -0.9), (1.0, 1e-12), (2.0, 1e-3),
+    (50.0, 1e-4), (60.0, 3.0), (99.0, -0.5), (300.0, -0.5), (1e8, 0.5),
+    (0.02, -0.7), (0.2, -0.5), (0.5, -0.5), (0.5, -0.9),
+    (1.0, 170.0), (1.0, 500.0), (0.01, 200.0), (150.0, 400.0)])
+def test_beta_total_rates_match_mpmath(rho, beta):
+    # psi(n) = B(rho, beta) - B(rho + n, beta).  Where Gamma(rho + beta) <= 0
+    # the two ends add, and from beta = 171 Gamma(beta + 1) overflows.
+    ix = BetaSplitIndex(rho, beta)
+    for n in (1, 5, 17, 1000):
+        exact = mp.beta(rho, beta) - mp.beta(mp.mpf(rho) + n, beta)
+        assert ix.unit_total_rate(n) == pytest.approx(
+            float(exact), rel=index_mod._CANCEL_TOL), n
+
+
+@pytest.mark.parametrize("rho, beta, psi5", [
+    (1.0, 500.0, 0.00199999999999255), (0.01, 200.0, 94.3037989470999),
+    (150.0, 400.0, 2.61806129640807e-141)])
+def test_beta_total_rates_at_large_beta(rho, beta, psi5):
+    # psi(5) to the 15 digits mpmath gives.
+    assert BetaSplitIndex(rho, beta).unit_total_rate(5) == pytest.approx(
+        psi5, rel=5e-13)
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0, 150.0])
+def test_beta_at_zero_is_harmonic_bit_for_bit(rho):
+    def pair():
+        return BetaSplitIndex(rho, 0.0), HarmonicIndex(1.0, rho)
+
+    beta, harm = pair()
+    r, d = np.arange(400) % 53, 1 + np.arange(400) % 29
+    assert np.array_equal(beta._log_rates(r, d), harm._log_rates(r, d))
+    for a, b in zip(r.tolist(), d.tolist()):
+        assert beta.log_unit_block_rate(a, b) == harm.log_unit_block_rate(a, b)
+    for n in (1, 2, 5, 17, 300, 5000):
+        assert beta.unit_total_rate(n) == harm.unit_total_rate(n)
+    rows = [index_mod._first_block_reader(ix, 300) for ix in pair()]
+    for m in (300, 17, 2, 1):
+        assert np.array_equal(rows[0](m), rows[1](m))
+    assert expected_blocks(300, pair()[0]) == expected_blocks(300, pair()[1])
+    streams = []
+    for ix in pair():
+        rng = np.random.default_rng(6)
+        traj = simulate(40, ix, rng=rng)
+        streams.append((traj, simulate_seeded(traj, 30, ix, rng)))
+    assert streams[0] == streams[1]
+
+
 @pytest.mark.parametrize("rho", [1e5, 1e6])
 def test_gamma_quadrature_at_large_rho(rho):
     # The integrand peaks near z = (d - 1) / (rho + r); before the
@@ -504,7 +552,8 @@ def test_product_recursion_matches_high_precision_rates(ix):
 @pytest.mark.xfail(strict=True, reason=(
     "HarmonicIndex below rho = 100 takes lgamma(d) + lgamma(rho + r) - "
     "lgamma(rho + r + d), which loses about eps * lgamma(rho + r + d) to "
-    "cancellation (ROADMAP item 7, harmonic log rates): up to 1.6e-12 "
+    "cancellation in the beta-integral route it shares with the beta "
+    "family (ROADMAP item 9, harmonic log rates): up to 1.6e-12 "
     "relative from the product recursion on these (r, d)"))
 @pytest.mark.parametrize("ix", _CONVERSE_INDICES, ids=str)
 def test_harmonic_rates_within_1e13_of_the_product_recursion(ix):
@@ -996,7 +1045,7 @@ def _digamma_difference_cases():
 
 def _cancellation_loss(rho, n):
     """Relative precision that digamma(n + rho) - digamma(rho) loses to
-    cancellation, as _digamma_difference estimates it."""
+    cancellation, as the harmonic total rate estimates it."""
     hi, lo = float(special.digamma(n + rho)), float(special.digamma(rho))
     return (abs(hi) + abs(lo)) * index_mod._EPS / (hi - lo)
 
@@ -1004,7 +1053,7 @@ def _cancellation_loss(rho, n):
 def _digamma_difference_error(rho, n):
     with mp.workdps(40):
         exact = mp.digamma(mp.mpf(rho) + n) - mp.digamma(mp.mpf(rho))
-        return abs(float((index_mod._digamma_difference(rho, n) - exact)
+        return abs(float((HarmonicIndex(1.0, rho).unit_total_rate(n) - exact)
                          / exact))
 
 

@@ -7,7 +7,8 @@ import pytest
 from scipy import stats
 
 from marksurv import inference
-from marksurv.index import GammaIndex, HarmonicIndex, ParameterError
+from marksurv.index import (GammaIndex, HarmonicIndex, NumericError,
+                            ParameterError)
 from marksurv.inference import (Dataset, empirical_bayes_curve,
                                 fit_exponential, fit_mle, fit_moment,
                                 kaplan_meier, loglik, mle_nu_given_rho,
@@ -315,6 +316,33 @@ def test_fit_moment_rejects_a_death_rate_without_a_root(family):
     fit = fit_moment(data, family)
     index = inference.family_index(family, fit.rho, fit.nu)
     assert index.total_rate(1) == pytest.approx(6 / 10, rel=1e-8)
+
+
+@pytest.mark.parametrize("family, rho", [("harmonic", 0.0278346),
+                                         ("gamma", 9.09495e-13)])
+def test_fit_moment_finds_a_root_at_small_rho(family, rho):
+    # 4 deaths over 5.9 units lie just below 2 / 2.9, so the root sits at
+    # small rho; a fixed-point iteration on rho crawls there.
+    data = Dataset.from_records([(1.0, 1)] * 3 + [(2.9, 1)])
+    fit = fit_moment(data, family)
+    assert fit.rho == pytest.approx(rho, rel=1e-5)
+    index = inference.family_index(family, fit.rho, fit.nu)
+    assert index.total_rate(1) == pytest.approx(4 / 5.9, rel=1e-10)
+
+
+@pytest.mark.parametrize("family", ["harmonic", "gamma"])
+def test_fit_moment_solves_gehan_to_the_bisection_tolerance(gehan, family):
+    fit = fit_moment(gehan, family)
+    index = inference.family_index(family, fit.rho, fit.nu)
+    assert index.total_rate(1) * 359.0 == pytest.approx(9.0, rel=1e-10)
+
+
+def test_fit_moment_root_past_the_float_range_raises():
+    # The gamma root falls like exp(-c / gap) as the death rate nears
+    # 2 / (last time at risk): here it lies below rho = e**-511.
+    data = Dataset.from_records([(1.0, 1)] * 3 + [(2.999, 1)])
+    with pytest.raises(NumericError, match="root lies past rho = e..-511"):
+        fit_moment(data, "gamma")
 
 
 def test_fit_rejects_all_censored():

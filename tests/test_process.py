@@ -572,6 +572,36 @@ def test_gamma_and_power_walks_load_no_quadrature():
     assert out.stdout.strip() == "False"
 
 
+def test_beta_paths_load_no_scipy():
+    # Beta rates are the harmonic family's lgamma expression with beta free,
+    # on every path: Stirling's series at rho >= 100 and the singleton sum
+    # where the closed-form total cancels (beta = 1e-12) included.
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from marksurv import (BetaSplitIndex, build_table,\n"
+            "                      expected_blocks, log_density,\n"
+            "                      predictive_survival, sample_next,\n"
+            "                      simulate, simulate_seeded)\n"
+            "for rho, beta in ((1.0, -0.5), (2.0, 0.5), (300.0, 0.5),\n"
+            "                  (1.0, 1e-12)):\n"
+            "    ix = BetaSplitIndex(rho, beta)\n"
+            "    rng = np.random.default_rng(5)\n"
+            "    traj = simulate(200, ix, rng=rng)\n"
+            "    log_density(traj, ix)\n"
+            "    predictive_survival(np.linspace(0.0, 3.0, 7), traj, ix)\n"
+            "    sample_next(traj, ix, rng)\n"
+            "    simulate_seeded(traj, 40, ix, rng)\n"
+            "    build_table(ix, 30)\n"
+            "    expected_blocks(300, ix)\n"
+            "    ix.split_prob(3, 2)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(process.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def _harmonic_posterior_mean(t, history, nu, rho):
     """P(next lifetime > t) for harmonic(nu, rho) as the beta process's
     posterior mean: the product of (rho + r) / (rho + r + d) over the failure

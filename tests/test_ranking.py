@@ -12,10 +12,11 @@ from marksurv.index import (MAX_TABLE_ROWS, BetaSplitIndex,
                             PowerIndex,
                             _draw_block_sizes, _first_block_reader,
                             build_table)
-from marksurv.ranking import (OrderedPartition, bell, block_growth_probe,
-                              block_growth_csv, enumerate_ordered_partitions,
-                              expected_blocks, first_block_distribution,
-                              ordered_bell, ranking_prob, sample_block_sizes,
+from marksurv.ranking import (OrderedPartition, _stirling2_row, bell,
+                              block_growth_probe, block_growth_csv,
+                              enumerate_ordered_partitions, expected_blocks,
+                              first_block_distribution, ordered_bell,
+                              ranking_prob, sample_block_sizes,
                               sample_first_block_size, sample_ranking,
                               sample_rankings, stirling2)
 
@@ -39,6 +40,30 @@ def test_stirling_triangle():
     assert stirling2(5, 5) == 1
     assert stirling2(5, 6) == 0
     assert ordered_bell(0) == 1 and bell(0) == 1
+
+
+def test_stirling_rows_from_a_cold_cache():
+    # Row n is built in one loop, not by n nested calls, and only the last
+    # row asked is remembered.  Bell numbers are checked against the Bell
+    # triangle and ordered Bell numbers against their binomial recurrence.
+    _stirling2_row.cache_clear()
+    assert stirling2(1500, 2) == 2 ** 1499 - 1
+    for n in (2, 40, 600):
+        assert stirling2(n, n - 1) == math.comb(n, 2)
+    _stirling2_row.cache_clear()
+    row = [1]
+    for _ in range(599):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    assert bell(600) == row[-1]
+    fubini = [1]
+    for n in range(1, 601):
+        fubini.append(sum(math.comb(n, k) * fubini[n - k]
+                          for k in range(1, n + 1)))
+    assert ordered_bell(600) == fubini[600]
+    assert _stirling2_row.cache_info().currsize == 1
 
 
 def test_ordered_partition_validation():
