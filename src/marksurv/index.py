@@ -6,12 +6,14 @@ individuals remain at risk, and its signed forward differences give the
 intensity attached to each possible block of simultaneous failures.  This
 module provides the built-in families, numerically stable difference
 evaluation (closed forms where available, harmonic being the beta integral
-at beta = 0; for the gamma and power families a trapezoid rule over the
-Levy-measure integral, every rate of an array in one pass and a single
-rate as a one-entry array; scaled adaptive quadrature for measures and as
-the fallback), splitting-rule tables with normalization/consistency
-diagnostics, and the conversions between the dislocation-measure and
-Levy-measure representations of the same process.
+at beta = 0 with a positive-term digamma difference for its total; gamma
+and power rates as one Levy-measure integral I(a, k, beta), by a trapezoid
+rule over every rate of an array in one pass, a single rate being a
+one-entry array, and by scaled adaptive quadrature split at the
+integrand's peak as the fallback; quadrature also for measures),
+splitting-rule tables with normalization/consistency diagnostics, and the
+conversions between the dislocation-measure and Levy-measure
+representations of the same process.
 
 Full tables and the block-count dynamic program need every rate in the
 triangle r + d <= n.  They evaluate only the outer diagonal r + d = n, in
@@ -116,8 +118,8 @@ def _check_risk_set(n: int) -> None:
                             "arrays would need over 1 GB")
 
 
-# Relative precision lost to cancellation above which a harmonic or beta
-# total rate is summed from its singleton rates.  Kept near machine level
+# Relative precision lost to cancellation above which a beta total rate
+# (beta != 0) is summed from its singleton rates.  Kept near machine level
 # so tabulated rules meet the 1e-10 normalization budget.
 _CANCEL_TOL = 5e-12
 # Adaptive quadrature settings; limit=476 caps the node count near 1e4.
@@ -216,54 +218,30 @@ def _log_gamma_ratio(x: float, k: float):
     return v, abs(v) * _EPS
 
 
-# scipy's digamma (Cephes psi): the asymptotic series coefficients, highest
-# order first, and Boost's rational approximation on [1, 2], written relative
-# to the positive root of digamma.
-_PSI_ASYMPTOTIC = (1.0 / 12.0, -691.0 / 32760.0, 1.0 / 132.0, -1.0 / 240.0,
-                   1.0 / 252.0, -1.0 / 120.0, 1.0 / 12.0)
-_PSI_P = (-0.0020713321167745952, -0.045251321448739056, -0.28919126444774784,
-          -0.65031853770896507, -0.32555031186804491, 0.25479851061131551)
-_PSI_Q = (-0.55789841321675513e-6, 0.0021284987017821144,
-          0.054151797245674225, 0.43593529692665969, 1.4606242909763515,
-          2.0767117023730469, 1.0)
-_PSI_Y = 0.99558162689208984375  # a float32 constant
-_PSI_ROOT = (1569415565.0 / 1073741824.0,
-             381566830.0 / 1073741824.0 / 1073741824.0,
-             0.9016312093258695918615325266959189453125e-19)
-_EULER = 0.57721566490153286061
-
-
-def _polevl(x: float, coef) -> float:
-    out = coef[0]
-    for c in coef[1:]:
-        out = out * x + c
-    return out
+def _psi_series(t: float) -> float:
+    """log t - 1 / (2t) - digamma(t) by digamma's asymptotic series through
+    the t**-14 term, in Horner form: within 5e-17 from t = 10 on."""
+    z = 1.0 / (t * t)
+    return z * (1 / 12 - z * (1 / 120 - z * (1 / 252 - z * (
+        1 / 240 - z * (1 / 132 - z * (691 / 32760 - z / 12))))))
 
 
 @lru_cache(maxsize=4096)
-def _digamma(x: float) -> float:
-    """digamma(x) for x > 0, step for step as scipy.special.digamma computes
-    it (equal to the last bit): a harmonic sum at integers up to 10; else
-    the recurrence into [1, 2] and a rational approximation there, or, from
-    10 on, the asymptotic series through the x**-14 term."""
-    y = 0.0
-    if x <= 10.0 and x == math.floor(x):
-        for i in range(1, int(x)):
-            y += 1.0 / i
-        return y - _EULER
-    if x < 1.0:
-        y -= 1.0 / x
-        x += 1.0
-    elif x < 10.0:
-        while x > 2.0:
-            x -= 1.0
-            y += 1.0 / x
-    if x <= 2.0:
-        g = x - _PSI_ROOT[0] - _PSI_ROOT[1] - _PSI_ROOT[2]
-        r = _polevl(x - 1.0, _PSI_P) / _polevl(x - 1.0, _PSI_Q)
-        return y + (g * _PSI_Y + g * r)
-    z = 1.0 / (x * x)
-    return y + (math.log(x) - 0.5 / x - z * _polevl(z, _PSI_ASYMPTOTIC))
+def _digamma_difference(x: float, n: int) -> float:
+    """digamma(x + n) - digamma(x), the sum of 1 / (x + k) over k < n, for
+    x > 0 from positive terms only: the terms k < 10 (remembered as the
+    answer at n = 10), then at y = x + 10 and m = n - 10 the series'
+    log1p(m / y) + m / (2 y (y + m)) and the difference of its corrections,
+    which is below 1 / (6 y**2) of the result, so the cancellation between
+    them costs no accuracy."""
+    if n <= 10:
+        out = 0.0
+        for k in range(n):
+            out += 1.0 / (x + k)
+        return out
+    y, m = x + 10.0, n - 10
+    return (_digamma_difference(x, 10) + math.log1p(m / y)
+            + m / (2.0 * y * (y + m)) + (_psi_series(y) - _psi_series(y + m)))
 
 
 def _separable_reader(a: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -562,10 +540,7 @@ class _BetaIntegralIndex(CharacteristicIndex):
         unless Gamma(rho + beta) <= 0, where the two add."""
         rho, b = self.rho, self.beta
         if b == 0.0:
-            hi, lo = _digamma(n + rho), _digamma(rho)
-            if (abs(hi) + abs(lo)) * _EPS <= _CANCEL_TOL * (hi - lo):
-                return hi - lo
-            return float((1.0 / (rho + np.arange(n))).sum())
+            return _digamma_difference(rho, n)
         rise_n, err_n = _log_gamma_ratio(rho + n, b)
         if rho + b == 0.0:  # 1 / Gamma(0) = 0, so B(rho, beta) = 0
             return math.exp(math.lgamma(b) - rise_n)
@@ -605,9 +580,6 @@ class HarmonicIndex(_NuRhoIndex, _BetaIntegralIndex):
     weakly continuously with the observed failure times."""
 
 
-# Scaling probes for the gamma integrand in its rescaled variable.
-_GAMMA_PROBES = tuple(np.geomspace(1e-8, 200.0, 40).tolist()) + (1.0,)
-
 # Gamma and power block rates are integrals of one form,
 #   I(a, k, beta) = int_0^inf z**(-1 - beta) exp(-a z) (1 - exp(-z))**k dz,
 # with k >= 1 and beta < k.  The array rule integrates it in
@@ -624,22 +596,27 @@ _TRAPEZOID_COARSE = np.linspace(-48.0, 24.0, 145)
 _TRAPEZOID_NODES = 257
 _TRAPEZOID_DROP = 40.0
 _TRAPEZOID_CHUNK = 128
+# The two halves of the scalar fallback's range in v = exp(u), split at
+# v = 1, each with the scaling probes it takes, v = 1 among them.
+_QUAD_HALVES = ((0.0, 1.0, np.geomspace(1e-8, 1.0, 31).tolist()),
+                (1.0, math.inf, np.geomspace(1.0, 200.0, 10).tolist()))
 
 
-def _trapezoid(a: np.ndarray, k: np.ndarray, beta: float,
+def _trapezoid(a: np.ndarray, k: np.ndarray, beta: np.ndarray,
                nodes: int = _TRAPEZOID_NODES) -> np.ndarray:
-    """log I(a, k, beta) for 1-d arrays a > 0 and k >= 1 and one beta, or
-    NaN where the bracket is not closed inside the coarse grid or the
-    trapezoid rules at step h and 2h differ by more than the tolerance
-    asked of the scalar quadrature, on ``nodes`` nodes and then, for a
-    closed bracket, once more on twice as many intervals."""
+    """log I(a, k, beta) for 1-d arrays a > 0, k >= 1 and beta, or NaN
+    where the bracket is not closed inside the coarse grid or the trapezoid
+    rules at step h and 2h differ by more than the tolerance asked of the
+    scalar quadrature, on ``nodes`` nodes and then, for a closed bracket,
+    once more on twice as many intervals."""
     c = _TRAPEZOID_CHUNK
     if len(a) > c:
-        return np.concatenate([_trapezoid(a[i:i + c], k[i:i + c], beta, nodes)
-                               for i in range(0, len(a), c)])
+        return np.concatenate([
+            _trapezoid(a[i:i + c], k[i:i + c], beta[i:i + c], nodes)
+            for i in range(0, len(a), c)])
     if not len(a):
         return np.empty(0)
-    a, k = a[:, None], k[:, None]
+    a, k, beta = a[:, None], k[:, None], beta[:, None]
     scale = np.log1p(k / a)
     rate = a * scale
     base = np.expm1(-scale)
@@ -647,9 +624,8 @@ def _trapezoid(a: np.ndarray, k: np.ndarray, beta: float,
     def log_rel(u):
         """log of the integrand at u less its value at u = 0, free of
         cancellation."""
-        out = -rate * np.expm1(u) + k * np.log(np.expm1(-scale * np.exp(u))
-                                               / base)
-        return out - beta * u if beta else out
+        return (-rate * np.expm1(u)
+                + k * np.log(np.expm1(-scale * np.exp(u)) / base)) - beta * u
 
     with np.errstate(over="ignore", under="ignore", divide="ignore",
                      invalid="ignore"):
@@ -668,20 +644,23 @@ def _trapezoid(a: np.ndarray, k: np.ndarray, beta: float,
     ok = (err <= np.maximum(_QUAD_KW["epsabs"], _QUAD_KW["epsrel"] * value)) \
         & closed
     log_at_0 = (-rate[:, 0] + k[:, 0] * np.log(-base[:, 0])
-                - beta * np.log(scale[:, 0]))
+                - beta[:, 0] * np.log(scale[:, 0]))
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(ok, log_at_0 + np.log(value), np.nan)
     redo = np.flatnonzero(closed & ~ok)
     if redo.size and nodes == _TRAPEZOID_NODES:
-        out[redo] = _trapezoid(a[redo, 0], k[redo, 0], beta, 2 * nodes - 1)
+        out[redo] = _trapezoid(a[redo, 0], k[redo, 0], beta[redo, 0],
+                               2 * nodes - 1)
     return out
 
 
 class _IntegralIndex(CharacteristicIndex):
     """Gamma and power: rates are integrals I(a, k, beta).  A family gives
-    its closed form at d = 1 (``_log_singletons``), its trapezoid rule above
-    it (``_log_blocks``) and its scalar integral (``_log_rate_quad``), the
-    fallback of an entry whose error estimate fails."""
+    its closed form at d = 1 (``_log_singletons``) and, in ``_integral``,
+    the map of a block (r, d) to (lead, a, k, beta) with log rate
+    lead + log I(a, k, beta), for float arrays or floats.  Both routes read
+    that map: the trapezoid rule, and ``_log_rate_quad``, the fallback of an
+    entry whose error estimate fails."""
 
     def log_unit_block_rate(self, r: int, d: int) -> float:
         """The one-entry answer of ``_log_rates``.  Each answer, not a
@@ -701,10 +680,28 @@ class _IntegralIndex(CharacteristicIndex):
         rr, dd = r.astype(float), d.astype(float)
         out = self._log_singletons(rr)
         big = dd > 1
-        out[big] = self._log_blocks(rr[big], dd[big])
+        lead, a, k, beta = self._integral(rr[big], dd[big])
+        out[big] = lead + _trapezoid(a, k, beta)
         for i in np.flatnonzero(~np.isfinite(out)).tolist():
             out[i] = self._log_rate_quad(int(r[i]), int(d[i]))
         return out
+
+    def _log_rate_quad(self, r: int, d: int) -> float:
+        """log rate by scalar quadrature of I(a, k, beta) in the array rule's
+        v = z / log(1 + k / a), where the integrand peaks near v = 1 for
+        every block (in z the peak narrows as a grows, and quadrature misses
+        it).  (0, 1) and (1, inf) are integrated apart, so that neither
+        misses a narrow peak at v = 1 nor underestimates its error there."""
+        lead, a, k, beta = map(float, self._integral(float(r), float(d)))
+        scale = math.log1p(k / a)
+        rate = a * scale
+
+        def log_f(v: float) -> float:
+            return (-rate * v + k * _log1mexp(scale * v)
+                    - (1.0 + beta) * math.log(v))
+
+        halves = [_log_quad(log_f, *half) for half in _QUAD_HALVES]
+        return lead - beta * math.log(scale) + float(np.logaddexp(*halves))
 
 
 @dataclass(frozen=True, repr=False)
@@ -717,21 +714,9 @@ class GammaIndex(_NuRhoIndex, _IntegralIndex):
     def _log_singletons(self, r: np.ndarray) -> np.ndarray:
         return np.log(np.log1p(1.0 / (self.rho + r)))
 
-    def _log_blocks(self, r: np.ndarray, d: np.ndarray) -> np.ndarray:
-        return _trapezoid(self.rho + r, d, 0.0)
-
-    def _log_rate_quad(self, r: int, d: int) -> float:
-        a = self.rho + r
-        # Integrate in v = z / log(1 + d / a), where the integrand peaks near
-        # v = 1 for every rho, r and d.  In z the peak sits near (d - 1) / a
-        # and narrows with it, and at large rho the quadrature misses it.
-        scale = math.log1p(d / a)
-        rate = a * scale
-
-        def log_f(v: float) -> float:
-            return -rate * v + d * _log1mexp(scale * v) - math.log(v)
-
-        return _log_quad(log_f, 0.0, np.inf, _GAMMA_PROBES)
+    def _integral(self, r, d):
+        """I(rho + r, d, 0)."""
+        return 0.0, self.rho + r, d, np.zeros_like(d)
 
 
 @dataclass(frozen=True, repr=False)
@@ -749,35 +734,14 @@ class PowerIndex(_AlphaIndex, _IntegralIndex):
             return np.where(r > 0, al * np.log(r)
                             + np.log(np.expm1(al * np.log1p(1.0 / r))), 0.0)
 
-    def _log_blocks(self, r: np.ndarray, d: np.ndarray) -> np.ndarray:
+    def _integral(self, r, d):
         """alpha / Gamma(1 - alpha) I(r, d, alpha) for r >= 1 and,
         integrated by parts, d / Gamma(1 - alpha) I(1, d - 1, alpha - 1) at
         r = 0, whose integrand decays exponentially."""
-        al, lg = self.alpha, math.lgamma(1.0 - self.alpha)
-        top = r == 0
-        out = np.empty(len(r))
-        out[~top] = math.log(al) - lg + _trapezoid(r[~top], d[~top], al)
-        out[top] = np.log(d[top]) - lg + _trapezoid(
-            np.ones(top.sum()), d[top] - 1.0, al - 1.0)
-        return out
-
-    def _log_rate_quad(self, r: int, d: int) -> float:
-        al = self.alpha
-        lead = math.log(al) - math.lgamma(1.0 - al)
-
-        def log_f(z: float) -> float:
-            return -r * z + d * _log1mexp(z) - (1.0 + al) * math.log(z)
-
-        probes = np.geomspace(1e-8, 200.0, 40)
-        if r == 0:
-            # The integrand decays only algebraically; integrate to a cutoff
-            # and add the closed-form tail, where 1 - exp(-z) is 1 to within
-            # exp(-cutoff).
-            cutoff = 60.0
-            log_main = _log_quad(log_f, 0.0, cutoff, probes[probes < cutoff])
-            log_tail = -al * math.log(cutoff) - math.log(al)
-            return lead + np.logaddexp(log_main, log_tail)
-        return lead + _log_quad(log_f, 0.0, np.inf, probes)
+        al, top = self.alpha, r == 0
+        return (np.where(top, np.log(d), math.log(al)) - math.lgamma(1.0 - al),
+                np.where(top, 1.0, r), np.where(top, d - 1.0, d),
+                np.where(top, al - 1.0, al))
 
 
 @dataclass(frozen=True, repr=False)
@@ -1193,4 +1157,7 @@ def index_from_spec(family: str, **params) -> CharacteristicIndex:
     """Build an index from a family name and named parameters."""
     if family not in FAMILIES:
         raise ParameterError(f"unknown family {family!r}")
+    names = [f.name for f in fields(FAMILIES[family])]
+    if not set(params) <= set(names):
+        raise ParameterError(f"{family} takes {names}, got {sorted(params)}")
     return FAMILIES[family](**params)

@@ -585,9 +585,13 @@ def trajectory_from_csv(text: str,
     events = []
     total = 0
     for ln in lines[1:]:
-        t_str, d_str, c_str = ln.split(",")
-        d, c = int(d_str), int(c_str)
-        events.append(Event(float(t_str), d, c))
+        try:
+            t_str, d_str, c_str = ln.split(",")
+            t, d, c = float(t_str), int(d_str), int(c_str)
+        except ValueError:
+            raise ParameterError(
+                f"row {ln!r} is not time,n_failures,n_censored") from None
+        events.append(Event(t, d, c))
         total += d + c
     return RiskSetTrajectory(n_initial if n_initial is not None else total,
                              tuple(events))

@@ -61,6 +61,9 @@ class MeasureRealization:
     truncation: float
 
     def __post_init__(self):
+        if not (0.0 < self.t_max < math.inf and 0.0 <= self.drift < math.inf):
+            raise ParameterError("need finite t_max > 0 and drift >= 0, got "
+                                 f"{self.t_max} and {self.drift}")
         loc = np.asarray(self.locations, dtype=float)
         mas = np.asarray(self.masses, dtype=float)
         if loc.shape != mas.shape:

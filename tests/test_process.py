@@ -317,6 +317,19 @@ def test_log_density_impossible_structure():
     assert log_density(traj, LinearIndex()) == -math.inf
 
 
+def test_log_density_of_large_power_blocks_is_finite():
+    # Both blocks fall back to scalar quadrature, where power's own
+    # quadrature once raised OverflowError.
+    ix = PowerIndex(0.5)
+    traj = RiskSetTrajectory(86839, (Event(0.5, 61938), Event(1.25, 24901)))
+    got = log_density(traj, ix)
+    assert math.isfinite(got)
+    expect = (-0.5 * ix.total_rate(86839) - 0.75 * ix.total_rate(24901)
+              + ix.log_unit_block_rate(24901, 61938)
+              + ix.log_unit_block_rate(0, 24901))
+    assert got == pytest.approx(expect, rel=1e-13)
+
+
 def test_log_density_censoring_enters_integral_only():
     with_c = RiskSetTrajectory(3, (Event(1.0, 0, 1), Event(2.0, 2, 0)))
     base = RiskSetTrajectory(2, (Event(2.0, 2, 0),))
